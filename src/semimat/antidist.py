@@ -17,8 +17,14 @@ each class's additive identity (0 for anti-distance, S for distance) and are
 restored after every operation.
 
 Matrix products and closures dispatch between the numpy vector path and the
-pure-Python scalar path exactly like :mod:`semimat.kernels`; the in-place
-closure variants need exclusive access to the receiver while they run.
+pure-Python scalar path exactly like :mod:`semimat.kernels`, reading the
+choice once per operation; the in-place closure variants need exclusive
+access to the receiver while they run.
+
+On the vector path a product and a closure run the same outer-product sweep
+(one per semiring). A step whose column hits fewer than half the rows
+gathers and updates just those rows; a denser step updates every row in
+place, in row tiles of about 512 KiB (``_TILE_BYTES``) that stay in L2.
 """
 
 import numpy as np
@@ -125,12 +131,12 @@ class _LaneMatrix:
                 f"{other.rows}x{other.cols}/w{other.width}"
             )
 
-    def _entrywise(self, other, np_op, kernel_op):
+    def _entrywise(self, other, np_op, py_op):
         self._check_same(other)
         if kernels.use_vector():
             data = np_op(self._data, other._data)
         else:
-            flat = kernel_op(self._data.reshape(-1), other._data.reshape(-1), self.width)
+            flat = py_op(self._data.reshape(-1).tolist(), other._data.reshape(-1).tolist())
             data = np.array(flat, dtype=self._data.dtype).reshape(self._data.shape)
         out = type(self)(self.rows, self.cols, self.width, data)
         out._fix_padding()
@@ -138,15 +144,15 @@ class _LaneMatrix:
 
     def __and__(self, other):
         """Lanewise minimum."""
-        return self._entrywise(other, np.minimum, kernels.minlanes)
+        return self._entrywise(other, np.minimum, kernels.py_min)
 
     def __or__(self, other):
         """Lanewise maximum."""
-        return self._entrywise(other, np.maximum, kernels.maxlanes)
+        return self._entrywise(other, np.maximum, kernels.py_max)
 
     def __xor__(self, other):
         """Lanewise absolute difference."""
-        return self._entrywise(other, kernels.np_absdiff, kernels.absdiff)
+        return self._entrywise(other, kernels.np_absdiff, kernels.py_absdiff)
 
     def __invert__(self):
         """Complement at width, switching between the two encodings."""
@@ -241,7 +247,8 @@ class AntidistMatrix(_LaneMatrix):
                 f"{other.rows}x{other.cols}"
             )
         if kernels.use_vector():
-            data = _mul_vector(self._data, other._data, self.cols, self.limit)
+            data = np.zeros((self.rows, other.padded_cols), dtype=self._data.dtype)
+            _maxplus_sweep(data, self._data, other._data, self.limit)
         else:
             work = _mul_scalar(
                 self._data.tolist(), other._data.tolist(), self.cols, self.limit
@@ -254,7 +261,7 @@ class AntidistMatrix(_LaneMatrix):
         if self.rows != self.cols:
             raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
         if kernels.use_vector():
-            _close_vector(self._data, self.rows, self.limit)
+            _maxplus_sweep(self._data, self._data, self._data, self.limit)
         else:
             work = self._data.tolist()
             _close_scalar(work, self.rows, self.limit)
@@ -320,7 +327,8 @@ class DistMatrix(_LaneMatrix):
                 f"{other.rows}x{other.cols}"
             )
         if kernels.use_vector():
-            data = _minplus_mul_vector(self._data, other._data, self.cols, self.limit)
+            data = np.full((self.rows, other.padded_cols), self.limit, dtype=self._data.dtype)
+            _minplus_sweep(data, self._data, other._data, self.limit)
         else:
             work = _minplus_mul_scalar(
                 self._data.tolist(), other._data.tolist(), self.cols, self.limit
@@ -333,7 +341,7 @@ class DistMatrix(_LaneMatrix):
         if self.rows != self.cols:
             raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
         if kernels.use_vector():
-            _minplus_close_vector(self._data, self.rows, self.limit)
+            _minplus_sweep(self._data, self._data, self._data, self.limit)
         else:
             work = self._data.tolist()
             _minplus_close_scalar(work, self.rows, self.limit)
@@ -356,19 +364,57 @@ class DistMatrix(_LaneMatrix):
 # scalar form (per-lane Python arithmetic on plain lists). Both follow the
 # same outer-product sweep and must stay bit-identical; the benchmark checks
 # that on every run.
+#
+# The vector form is one sweep per semiring, (out, left, right, limit): step k
+# folds row k of ``right``, shifted by each row's entry in column k of
+# ``left``, into ``out``. A product passes a fresh ``out``; the closure passes
+# the matrix itself as all three. Rows whose left entry is the additive
+# identity (0 for max-plus, S for min-plus) are "missed", the others "hit".
+#
+# - Gather branch (fewer than half the rows hit): copy out the hit rows,
+#   combine them with the candidate and scatter them back.
+# - Dense branch (at least half hit): update every row in place, walking
+#   ``out`` in row tiles of about _TILE_BYTES so that a tile and its candidate
+#   buffer stay in L2 across the three ufunc passes. This is exact: a missed
+#   row's candidate is 0 (max-plus) or S (min-plus), which leaves it as it
+#   was. In a closure, step k never changes row k or column k (for max-plus
+#   subsat(x, S - e) <= x, min-plus mirrors it), so no row reads a value the
+#   same step wrote.
+#
+# The half threshold keeps sparse sweeps (few rows per step) on the gather
+# branch, where touching every row would cost more than the copies save.
+
+_TILE_BYTES = 512 * 1024
 
 
-def _mul_vector(a, b, inner, limit):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    for k in range(inner):
-        column = a[:, k]
+def _row_tiles(out):
+    """Row slices of ``out`` of about _TILE_BYTES each, each paired with a
+    view of one shared scratch buffer of the same shape."""
+    rows = out.shape[0]
+    step = max(1, _TILE_BYTES // out[0].nbytes)
+    buf = np.empty((min(step, rows), out.shape[1]), dtype=out.dtype)
+    return [(slice(r, r + step), buf[: min(step, rows - r)]) for r in range(0, rows, step)]
+
+
+def _maxplus_sweep(out, left, right, limit):
+    rows = out.shape[0]
+    tiles = _row_tiles(out)
+    gap = np.empty((rows, 1), dtype=out.dtype)
+    for k in range(right.shape[0]):
+        column = left[:, k]
         hit = np.nonzero(column)[0]
-        if hit.size:
-            gap = (limit - column[hit])[:, None]
-            cand = kernels.np_subsat(b[k][None, :], gap)
+        row_k = right[k]
+        if 2 * hit.size >= rows:
+            np.subtract(limit, column, out=gap[:, 0])
+            for span, cand in tiles:
+                np.maximum(row_k, gap[span], out=cand)
+                cand -= gap[span]
+                tile = out[span]
+                np.maximum(tile, cand, out=tile)
+        elif hit.size:
+            cand = kernels.np_subsat(row_k[None, :], (limit - column[hit])[:, None])
             np.maximum(out[hit], cand, out=cand)
             out[hit] = cand
-    return out
 
 
 def _mul_scalar(a, b, inner, limit):
@@ -387,17 +433,6 @@ def _mul_scalar(a, b, inner, limit):
     return out
 
 
-def _close_vector(t, dim, limit):
-    for k in range(dim):
-        column = t[:, k]
-        hit = np.nonzero(column)[0]
-        if hit.size:
-            gap = (limit - column[hit])[:, None]
-            cand = kernels.np_subsat(t[k][None, :], gap)
-            np.maximum(t[hit], cand, out=cand)
-            t[hit] = cand
-
-
 def _close_scalar(t, dim, limit):
     for k in range(dim):
         row_k = t[k]
@@ -409,17 +444,27 @@ def _close_scalar(t, dim, limit):
                 row[:] = [v if (v := x - gap) > p else p for x, p in zip(row_k, row)]
 
 
-def _minplus_mul_vector(a, b, inner, limit):
-    out = np.full((a.shape[0], b.shape[1]), limit, dtype=a.dtype)
-    for k in range(inner):
-        column = a[:, k]
+def _minplus_sweep(out, left, right, limit):
+    rows = out.shape[0]
+    tiles = _row_tiles(out)
+    offset = np.empty((rows, 1), dtype=out.dtype)
+    room = np.empty((rows, 1), dtype=out.dtype)
+    for k in range(right.shape[0]):
+        column = left[:, k]
         hit = np.nonzero(column != limit)[0]
-        if hit.size:
-            e = column[hit][:, None]
-            cand = kernels.np_addsat(b[k][None, :], e, limit)
+        row_k = right[k]
+        if 2 * hit.size >= rows:
+            offset[:, 0] = column
+            np.subtract(limit, column, out=room[:, 0])
+            for span, cand in tiles:
+                np.minimum(row_k, room[span], out=cand)
+                cand += offset[span]
+                tile = out[span]
+                np.minimum(tile, cand, out=tile)
+        elif hit.size:
+            cand = kernels.np_addsat(row_k[None, :], column[hit][:, None], limit)
             np.minimum(out[hit], cand, out=cand)
             out[hit] = cand
-    return out
 
 
 def _minplus_mul_scalar(a, b, inner, limit):
@@ -435,17 +480,6 @@ def _minplus_mul_scalar(a, b, inner, limit):
                     v if (v := x + e) < p else p for x, p in zip(row_k, row_out)
                 ]
     return out
-
-
-def _minplus_close_vector(t, dim, limit):
-    for k in range(dim):
-        column = t[:, k]
-        hit = np.nonzero(column != limit)[0]
-        if hit.size:
-            e = column[hit][:, None]
-            cand = kernels.np_addsat(t[k][None, :], e, limit)
-            np.minimum(t[hit], cand, out=cand)
-            t[hit] = cand
 
 
 def _minplus_close_scalar(t, dim, limit):

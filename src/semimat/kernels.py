@@ -10,8 +10,11 @@ Path selection: numpy's vectorised ufunc loops act as the 128-bit engine on
 machines whose baseline ISA guarantees integer SIMD. Setting the environment
 variable ``SEMIMAT_FORCE_SCALAR`` to anything other than "" or "0" pins the
 per-lane Python implementation instead, and :func:`forced_scalar` /
-:func:`forced_vector` pin the choice for a code region. The test suite and
-the benchmark rely on both paths producing bit-identical results.
+:func:`forced_vector` pin the choice for a code region. The pin lives in a
+:class:`contextvars.ContextVar`, so it holds for the thread (or asyncio task)
+that set it and never flips the path of another. Each operation reads
+:func:`use_vector` once and runs wholly on the path it got. The test suite
+and the benchmark rely on both paths producing bit-identical results.
 
 numpy has no saturating integer ufuncs, so the vector path uses the
 branch-free rewrites ``max(a, b) - b`` for saturating subtraction and
@@ -24,6 +27,7 @@ two sides independent of each other.
 import os
 import platform
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -35,7 +39,7 @@ FORCE_SCALAR_ENV = "SEMIMAT_FORCE_SCALAR"
 _DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 _SIMD_MACHINES = {"x86_64", "amd64", "i386", "i686", "aarch64", "arm64", "ppc64le"}
 
-_forced = None  # None, "scalar" or "vector"
+_forced = ContextVar("semimat_forced_path", default=None)  # None, "scalar" or "vector"
 
 
 def lane_count(width: int) -> int:
@@ -57,35 +61,33 @@ def vector_supported() -> bool:
 
 def use_vector() -> bool:
     """Whether the next kernel call takes the vector path."""
-    if _forced is not None:
-        return _forced == "vector"
+    forced = _forced.get()
+    if forced is not None:
+        return forced == "vector"
     if os.environ.get(FORCE_SCALAR_ENV, "0") not in ("", "0"):
         return False
     return vector_supported()
 
 
 @contextmanager
+def _forced_path(path):
+    token = _forced.set(path)
+    try:
+        yield
+    finally:
+        _forced.reset(token)
+
+
 def forced_scalar():
-    """Pin the pure-Python path within the block, regardless of environment."""
-    global _forced
-    previous = _forced
-    _forced = "scalar"
-    try:
-        yield
-    finally:
-        _forced = previous
+    """Pin the pure-Python path within the block for the calling thread,
+    regardless of environment."""
+    return _forced_path("scalar")
 
 
-@contextmanager
 def forced_vector():
-    """Pin the vector path within the block (benchmark and test helper)."""
-    global _forced
-    previous = _forced
-    _forced = "vector"
-    try:
-        yield
-    finally:
-        _forced = previous
+    """Pin the vector path within the block for the calling thread
+    (benchmark and test helper)."""
+    return _forced_path("vector")
 
 
 def _np_lanes(seq, width):
@@ -116,8 +118,8 @@ def _py_lanes(seq, width):
     return vals
 
 
-def _pair(a, b, width):
-    if use_vector():
+def _pair(a, b, width, vector):
+    if vector:
         x, y = _np_lanes(a, width), _np_lanes(b, width)
     else:
         x, y = _py_lanes(a, width), _py_lanes(b, width)
@@ -146,35 +148,31 @@ def clonenot(value: int, width: int = 8, count: int | None = None) -> list[int]:
 
 def subsat(a, b, width: int = 8) -> list[int]:
     """Lanewise saturating subtraction max(a - b, 0)."""
-    x, y = _pair(a, b, width)
-    if use_vector():
-        return (np.maximum(x, y) - y).tolist()
-    return [p - q if p > q else 0 for p, q in zip(x, y)]
+    vector = use_vector()
+    x, y = _pair(a, b, width, vector)
+    return np_subsat(x, y).tolist() if vector else py_subsat(x, y)
 
 
 def addsat(a, b, width: int = 8) -> list[int]:
     """Lanewise saturating addition min(a + b, S)."""
-    x, y = _pair(a, b, width)
+    vector = use_vector()
+    x, y = _pair(a, b, width, vector)
     limit = sat_limit(width)
-    if use_vector():
-        return (np.minimum(x, limit - y) + y).tolist()
-    return [s if (s := p + q) < limit else limit for p, q in zip(x, y)]
+    return np_addsat(x, y, limit).tolist() if vector else py_addsat(x, y, limit)
 
 
 def maxlanes(a, b, width: int = 8) -> list[int]:
     """Lanewise maximum."""
-    x, y = _pair(a, b, width)
-    if use_vector():
-        return np.maximum(x, y).tolist()
-    return [p if p >= q else q for p, q in zip(x, y)]
+    vector = use_vector()
+    x, y = _pair(a, b, width, vector)
+    return np.maximum(x, y).tolist() if vector else py_max(x, y)
 
 
 def minlanes(a, b, width: int = 8) -> list[int]:
     """Lanewise minimum."""
-    x, y = _pair(a, b, width)
-    if use_vector():
-        return np.minimum(x, y).tolist()
-    return [p if p <= q else q for p, q in zip(x, y)]
+    vector = use_vector()
+    x, y = _pair(a, b, width, vector)
+    return np.minimum(x, y).tolist() if vector else py_min(x, y)
 
 
 def absdiff(a, b, width: int = 8) -> list[int]:
@@ -183,10 +181,9 @@ def absdiff(a, b, width: int = 8) -> list[int]:
     The vector path ORs the two one-sided saturating differences, which is
     exact because at least one of them is zero in every lane.
     """
-    x, y = _pair(a, b, width)
-    if use_vector():
-        return np.bitwise_or(np.maximum(x, y) - y, np.maximum(y, x) - x).tolist()
-    return [p - q if p >= q else q - p for p, q in zip(x, y)]
+    vector = use_vector()
+    x, y = _pair(a, b, width, vector)
+    return np_absdiff(x, y).tolist() if vector else py_absdiff(x, y)
 
 
 # Array-level forms of the same rewrites, shared with the matrix vector paths
@@ -202,3 +199,26 @@ def np_addsat(a, b, limit):
 
 def np_absdiff(a, b):
     return np.bitwise_or(np_subsat(a, b), np_subsat(b, a))
+
+
+# List-level forms computed straight from the definitions, shared with the
+# matrix scalar paths (operands are lists of in-range lane values).
+
+def py_subsat(x, y):
+    return [p - q if p > q else 0 for p, q in zip(x, y)]
+
+
+def py_addsat(x, y, limit):
+    return [s if (s := p + q) < limit else limit for p, q in zip(x, y)]
+
+
+def py_max(x, y):
+    return [p if p >= q else q for p, q in zip(x, y)]
+
+
+def py_min(x, y):
+    return [p if p <= q else q for p, q in zip(x, y)]
+
+
+def py_absdiff(x, y):
+    return [p - q if p >= q else q - p for p, q in zip(x, y)]

@@ -54,6 +54,19 @@ def _parse_header_ints(parts):
         raise MatrixFormatError(f"non-integer header field in {parts!r}") from None
 
 
+def _data_lines(lines, rows, cols):
+    """The R data lines below the header; only blank lines may follow them."""
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    body = lines[1 : rows + 1]
+    if len(body) != rows:
+        raise MatrixFormatError(f"expected {rows} data rows, found {len(body)}")
+    for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
+        if line.strip():
+            raise MatrixFormatError(f"line {lineno}: the header declares {rows} rows, found more")
+    return body
+
+
 def parse_text(text: str):
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -65,13 +78,11 @@ def parse_text(text: str):
             raise MatrixFormatError("bool header must be 'bool R C'")
         rows, cols = _parse_header_ints(head[1:])
         grid = []
-        for lineno, line in enumerate(lines[1 : rows + 1], start=2):
+        for lineno, line in enumerate(_data_lines(lines, rows, cols), start=2):
             row = line.strip()
             if len(row) != cols or any(ch not in "01" for ch in row):
                 raise MatrixFormatError(f"line {lineno}: expected {cols} characters of 0/1")
             grid.append([1 if ch == "1" else 0 for ch in row])
-        if len(grid) != rows:
-            raise MatrixFormatError(f"expected {rows} data rows, found {len(grid)}")
         return BoolMatrix.from_lists(grid)
     if kind in ("antidist", "dist"):
         if len(head) != 4:
@@ -79,7 +90,7 @@ def parse_text(text: str):
         width, rows, cols = _parse_header_ints(head[1:])
         cls = AntidistMatrix if kind == "antidist" else DistMatrix
         grid = []
-        for lineno, line in enumerate(lines[1 : rows + 1], start=2):
+        for lineno, line in enumerate(_data_lines(lines, rows, cols), start=2):
             parts = line.split()
             if len(parts) != cols:
                 raise MatrixFormatError(f"line {lineno}: expected {cols} values, found {len(parts)}")
@@ -87,8 +98,6 @@ def parse_text(text: str):
                 grid.append([int(p) for p in parts])
             except ValueError:
                 raise MatrixFormatError(f"line {lineno}: non-integer entry") from None
-        if len(grid) != rows:
-            raise MatrixFormatError(f"expected {rows} data rows, found {len(grid)}")
         try:
             return cls.from_lists(grid, width)
         except ValueError as exc:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from semimat import kernels, oracle
+from semimat import antidist, kernels, oracle
 from semimat.antidist import AntidistMatrix, DistMatrix
 from semimat.boolmat import BoolMatrix
 from semimat.scalars import sat_limit
@@ -115,6 +115,26 @@ def test_entrywise_scalar_path_matches(width):
         assert x == y
         assert_padding(x)
         assert_padding(y)
+
+
+def test_operations_read_the_path_once(monkeypatch):
+    rng = random.Random(27)
+    a = random_antidist(rng, 5, 5, 8)
+    b = random_antidist(rng, 5, 5, 8)
+    d = ~a
+    calls = []
+    real = kernels.use_vector
+    monkeypatch.setattr(kernels, "use_vector", lambda: calls.append(1) or real())
+    ops = [
+        lambda: a | b, lambda: a & b, lambda: a ^ b, lambda: a * b, lambda: d * d,
+        lambda: a.copy().transitive_close(), lambda: d.copy().transitive_close(),
+    ]
+    for forced in (kernels.forced_scalar, kernels.forced_vector):
+        for op in ops:
+            calls.clear()
+            with forced():
+                op()
+            assert len(calls) == 1
 
 
 def test_dist_padding_restored_after_xor():
@@ -358,3 +378,92 @@ def test_closure_commutes_with_boolean_structure():
         b = BoolMatrix.from_lists(rows)
         lifted = AntidistMatrix.from_boolmat(b, 8)
         assert lifted.transitive_closure().to_boolmat() == b.transitive_closure()
+
+
+# -- vector sweep: row tiles and the dense/gather branches -----------------------
+#
+# Full-size tiles hold hundreds of rows, so these tests shrink them to a few
+# rows: 53- and 61-row matrices then span many tiles with a shorter last one.
+# Columns cycle through dense, sparse and empty so both branches run.
+
+SHARES = (0.9, 0.15, 0.0)
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Shrink the sweep tiles and record the tile heights of every vector sweep."""
+    monkeypatch.setattr(antidist, "_TILE_BYTES", 700)
+    heights = []
+    real = antidist._row_tiles
+
+    def spy(out):
+        tiles = real(out)
+        heights.append([cand.shape[0] for _, cand in tiles])
+        return tiles
+
+    monkeypatch.setattr(antidist, "_row_tiles", spy)
+    return heights
+
+
+def assert_ragged(heights):
+    assert heights
+    assert all(len(h) > 1 and h[-1] < h[0] for h in heights)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_vector_product_across_tiles_and_branches(width, cls, small_tiles, monkeypatch):
+    rng = random.Random(f"product-tiles-{width}")
+    limit = sat_limit(width)
+    rows, inner, cols = 53, 67, 41
+    a_vals = [
+        [rng.randint(1, limit) if rng.random() < SHARES[k % 3] else 0 for k in range(inner)]
+        for _ in range(rows)
+    ]
+    for k, count in ((1, rows // 2), (4, rows // 2 + 1)):  # one hit either side of half
+        for r, row in enumerate(a_vals):
+            row[k] = rng.randint(1, limit) if r < count else 0
+    b_vals = random_values(rng, inner, cols, limit)
+    a = AntidistMatrix.from_lists(a_vals, width)
+    b = AntidistMatrix.from_lists(b_vals, width)
+    want = AntidistMatrix.from_lists(oracle.naive_antidist_mul(a_vals, b_vals, limit), width)
+    gather = "np_subsat"
+    if cls is DistMatrix:
+        a, b, want, gather = ~a, ~b, ~want, "np_addsat"
+    gathers = []
+    real = getattr(kernels, gather)
+    monkeypatch.setattr(kernels, gather, lambda *args: gathers.append(1) or real(*args))
+    got = a * b
+    hits = [sum(1 for row in a_vals if row[k]) for k in range(inner)]
+    assert len(gathers) == sum(1 for h in hits if 0 < 2 * h < rows)
+    assert any(2 * h >= rows for h in hits)
+    assert got == want
+    assert_padding(got)
+    assert_ragged(small_tiles)
+    with kernels.forced_scalar():
+        assert a * b == want
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_vector_closure_across_tiles_and_branches(width, cls, small_tiles):
+    rng = random.Random(f"closure-tiles-{width}")
+    dim = 61
+    edges = [
+        (u, v, rng.randint(1, 10))
+        for u in range(dim)
+        for v in range(dim)
+        if u != v and rng.random() < SHARES[v % 3]
+    ]
+    m = AntidistMatrix.from_edges(dim, edges, width)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
+    if cls is DistMatrix:
+        m, want = ~m, ~want
+    inplace = m.copy()
+    inplace.transitive_close()
+    assert m.transitive_closure() == want
+    assert inplace == want
+    assert_padding(inplace)
+    assert_ragged(small_tiles)
+    with kernels.forced_scalar():
+        assert m.transitive_closure() == want

@@ -214,3 +214,13 @@ def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "closure", "/nonexistent/graph.txt", "--bool")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", ["bool 0 3\n", "bool 1 2\n01\n11\n"])
+def test_malformed_matrix_file_is_an_error(tmp_path, capsys, text):
+    src = tmp_path / "m.txt"
+    src.write_text(text)
+    code, _, err = run(capsys, "convert", str(src), str(tmp_path / "m.mat"), "--to", "binary")
+    assert code == 1
+    assert err.startswith("semimat: error:")
+    assert not (tmp_path / "m.mat").exists()

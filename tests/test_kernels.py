@@ -1,4 +1,5 @@
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +30,43 @@ def test_dispatch_override_and_env(monkeypatch):
     assert not kernels.use_vector()
     monkeypatch.setenv(kernels.FORCE_SCALAR_ENV, "0")
     assert kernels.use_vector() == kernels.vector_supported()
+
+
+def test_forced_path_is_local_to_its_thread(monkeypatch):
+    monkeypatch.delenv(kernels.FORCE_SCALAR_ENV, raising=False)
+    pinned, looked = threading.Event(), threading.Event()
+    seen = {}
+
+    def pin():
+        with kernels.forced_scalar():
+            pinned.set()
+            looked.wait(timeout=10)
+            seen["pinning thread"] = kernels.use_vector()
+
+    def look():
+        pinned.wait(timeout=10)
+        seen["other thread"] = kernels.use_vector()
+        looked.set()
+
+    threads = [threading.Thread(target=pin), threading.Thread(target=look)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert seen == {"pinning thread": False, "other thread": kernels.vector_supported()}
+
+
+def test_lane_ops_read_the_path_once(monkeypatch):
+    calls = []
+    real = kernels.use_vector
+    monkeypatch.setattr(kernels, "use_vector", lambda: calls.append(1) or real())
+    for op in (kernels.subsat, kernels.addsat, kernels.maxlanes, kernels.minlanes, kernels.absdiff):
+        for forced in (kernels.forced_scalar, kernels.forced_vector):
+            calls.clear()
+            with forced():
+                op(list(range(16)), [7] * 16)
+            assert len(calls) == 1, op.__name__
 
 
 def test_clonenot_examples():

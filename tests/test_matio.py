@@ -69,6 +69,22 @@ def test_parse_text_errors():
         matio.parse_text("antidist 8 1 2\n1\n")
     with pytest.raises(MatrixFormatError):
         matio.parse_text("antidist 9 1 1\n1\n")
+    for empty in ("bool 0 3\n", "bool 2 0\n\n\n", "antidist 8 0 3\n", "dist 8 2 0\n\n\n"):
+        with pytest.raises(MatrixFormatError, match="dimensions must be positive"):
+            matio.parse_text(empty)
+
+
+@pytest.mark.parametrize(
+    "head, row",
+    [("bool 1 2", "01"), ("antidist 8 1 2", "1 2"), ("dist 16 1 2", "3 4")],
+)
+def test_parse_text_trailing_lines(head, row):
+    want = matio.parse_text(f"{head}\n{row}\n")
+    assert matio.parse_text(f"{head}\n{row}\n\n  \n") == want
+    with pytest.raises(MatrixFormatError, match="line 3: the header declares 1 rows"):
+        matio.parse_text(f"{head}\n{row}\n{row}\n")
+    with pytest.raises(MatrixFormatError, match="line 4"):
+        matio.parse_text(f"{head}\n{row}\n\n{row}\n")
 
 
 def test_binary_errors():
