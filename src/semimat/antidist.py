@@ -11,6 +11,9 @@ adjacency matrix holds all-pairs shortest path values clipped at S.
 S means unreachable, matrix addition is the lanewise minimum and the product
 accumulates saturating sums with min. The two classes are exchanged by ``~``
 and never mix silently; their raw bytes are identical up to complement.
+Because complementing turns min-plus into max-plus, the distance product,
+closure and adjacency builder are the anti-distance ones run on complemented
+storage; min-plus has no engine of its own.
 
 Rows are padded to a whole number of 128-bit blocks. Padding columns hold
 each class's additive identity (0 for anti-distance, S for distance) and are
@@ -21,16 +24,18 @@ pure-Python scalar path exactly like :mod:`semimat.kernels`, reading the
 choice once per operation; the in-place closure variants need exclusive
 access to the receiver while they run.
 
-On the vector path a product and a closure run the same outer-product sweep
-(one per semiring). A step whose column hits fewer than half the rows
-gathers and updates just those rows; a denser step updates every row in
-place, in row tiles of about 512 KiB (``_TILE_BYTES``) that stay in L2.
+A product and a closure run the same max-plus outer-product sweep, one per
+path; the closure is the product with the matrix passed as output and both
+factors, swept in place. On the vector path a step whose column hits fewer
+than half the rows gathers and updates just those rows; a denser step
+updates every row in place, in row tiles of about 512 KiB (``_TILE_BYTES``)
+that stay in L2.
 """
 
 import numpy as np
 
 from . import kernels
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, _pack_bits, _unpack_bits
 from .scalars import sat_limit
 
 
@@ -156,10 +161,26 @@ class _LaneMatrix:
 
     def __invert__(self):
         """Complement at width, switching between the two encodings."""
+        return self.copy()._flip()
+
+    def _flip(self):
+        """Complement the storage in place and return it wrapped as the other
+        class. The receiver shares that storage, so it holds the complement
+        until the result is flipped back. Padding columns swap fills along
+        with the classes, so they stay valid."""
+        np.subtract(self.limit, self._data, out=self._data)
         cls = DistMatrix if isinstance(self, AntidistMatrix) else AntidistMatrix
-        out = cls(self.rows, self.cols, self.width, self.limit - self._data)
-        out._fix_padding()
-        return out
+        return cls(self.rows, self.cols, self.width, self._data)
+
+    def _check_factor(self, other):
+        """Width and inner-dimension agreement of the product ``self * other``."""
+        if self.width != other.width:
+            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
+        if self.cols != other.rows:
+            raise ValueError(
+                f"inner dimensions disagree: {self.rows}x{self.cols} times "
+                f"{other.rows}x{other.cols}"
+            )
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -220,14 +241,13 @@ class AntidistMatrix(_LaneMatrix):
     def from_boolmat(cls, mat: BoolMatrix, width: int = 8) -> "AntidistMatrix":
         """Lift a Boolean matrix: 1 becomes distance zero (value S), 0 stays 0."""
         m = cls(mat.rows, mat.cols, width)
-        bits = np.asarray(mat.to_lists(), dtype=m._data.dtype)
+        bits = _unpack_bits(mat.blocks, mat.cols).astype(m._data.dtype)
         m._data[:, : m.cols] = bits * m.limit
         return m
 
     def to_boolmat(self) -> BoolMatrix:
         """Reachability structure: any finite distance becomes 1."""
-        bits = (self._data[:, : self.cols] > 0).astype(int)
-        return BoolMatrix.from_lists(bits.tolist())
+        return BoolMatrix(self.rows, self.cols, _pack_bits(self._data[:, : self.cols] > 0))
 
     def __mul__(self, other) -> "AntidistMatrix":
         """Semiring product: entry (i, j) is the best saturated sum over k.
@@ -239,21 +259,14 @@ class AntidistMatrix(_LaneMatrix):
         """
         if not isinstance(other, AntidistMatrix):
             return NotImplemented
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        if self.cols != other.rows:
-            raise ValueError(
-                f"inner dimensions disagree: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}"
-            )
+        self._check_factor(other)
+        data = np.zeros((self.rows, other.padded_cols), dtype=self._data.dtype)
         if kernels.use_vector():
-            data = np.zeros((self.rows, other.padded_cols), dtype=self._data.dtype)
             _maxplus_sweep(data, self._data, other._data, self.limit)
         else:
-            work = _mul_scalar(
-                self._data.tolist(), other._data.tolist(), self.cols, self.limit
-            )
-            data = np.array(work, dtype=self._data.dtype)
+            work = data.tolist()
+            _maxplus_sweep_scalar(work, self._data.tolist(), other._data.tolist(), self.limit)
+            data[...] = work
         return AntidistMatrix(self.rows, other.cols, self.width, data)
 
     def transitive_close(self) -> None:
@@ -264,8 +277,8 @@ class AntidistMatrix(_LaneMatrix):
             _maxplus_sweep(self._data, self._data, self._data, self.limit)
         else:
             work = self._data.tolist()
-            _close_scalar(work, self.rows, self.limit)
-            self._data[...] = np.array(work, dtype=self._data.dtype)
+            _maxplus_sweep_scalar(work, work, work, self.limit)
+            self._data[...] = work
 
     def transitive_closure(self) -> "AntidistMatrix":
         """Best saturated path value for every ordered pair (>= 1 edge).
@@ -301,51 +314,30 @@ class DistMatrix(_LaneMatrix):
     @classmethod
     def from_edges(cls, dim: int, edges, width: int = 8) -> "DistMatrix":
         """Adjacency matrix storing edge weights directly; parallel edges keep the minimum."""
-        m = cls(dim, dim, width)
-        limit = m.limit
-        data = m._data
-        for u, v, w in edges:
-            if not 0 <= u < dim:
-                raise ValueError(f"source vertex {u} out of range [0, {dim})")
-            if not 0 <= v < dim:
-                raise ValueError(f"target vertex {v} out of range [0, {dim})")
-            if not 0 <= w <= limit:
-                raise ValueError(f"weight {w} outside [0, {limit}]")
-            if w < int(data[u, v]):
-                data[u, v] = w
-        return m
+        return AntidistMatrix.from_edges(dim, edges, width)._flip()
 
     def __mul__(self, other) -> "DistMatrix":
-        """Min-plus product: entry (i, j) is min over k of the saturating sum."""
+        """Min-plus product: entry (i, j) is min over k of the saturating sum.
+
+        Computed as the complement of the max-plus product of the complements;
+        the factors are checked first, so a mismatch copies nothing.
+        """
         if not isinstance(other, DistMatrix):
             return NotImplemented
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        if self.cols != other.rows:
-            raise ValueError(
-                f"inner dimensions disagree: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}"
-            )
-        if kernels.use_vector():
-            data = np.full((self.rows, other.padded_cols), self.limit, dtype=self._data.dtype)
-            _minplus_sweep(data, self._data, other._data, self.limit)
-        else:
-            work = _minplus_mul_scalar(
-                self._data.tolist(), other._data.tolist(), self.cols, self.limit
-            )
-            data = np.array(work, dtype=self._data.dtype)
-        return DistMatrix(self.rows, other.cols, self.width, data)
+        self._check_factor(other)
+        return (~self * ~other)._flip()
 
     def transitive_close(self) -> None:
-        """In-place variant of :meth:`transitive_closure`."""
-        if self.rows != self.cols:
-            raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
-        if kernels.use_vector():
-            _minplus_sweep(self._data, self._data, self._data, self.limit)
-        else:
-            work = self._data.tolist()
-            _minplus_close_scalar(work, self.rows, self.limit)
-            self._data[...] = np.array(work, dtype=self._data.dtype)
+        """In-place variant of :meth:`transitive_closure`.
+
+        Complements the storage in place, runs the max-plus closure on it and
+        complements it back, so no second matrix is ever allocated.
+        """
+        anti = self._flip()
+        try:
+            anti.transitive_close()
+        finally:
+            anti._flip()
 
     def transitive_closure(self) -> "DistMatrix":
         """Min-plus closure: shortest distances over >= 1 edge, clipped at S.
@@ -360,26 +352,28 @@ class DistMatrix(_LaneMatrix):
 
 # -- compute engines ---------------------------------------------------------
 #
-# Each operation has a vector form (numpy, whole padded rows at a time) and a
-# scalar form (per-lane Python arithmetic on plain lists). Both follow the
-# same outer-product sweep and must stay bit-identical; the benchmark checks
-# that on every run.
+# There are two engines, both the max-plus sweep (out, left, right, limit):
+# a vector form (numpy, whole padded rows at a time) and a scalar form
+# (per-lane Python arithmetic on plain lists). They must stay bit-identical;
+# the benchmark checks that on every run. Min-plus runs through them on
+# complemented storage.
 #
-# The vector form is one sweep per semiring, (out, left, right, limit): step k
-# folds row k of ``right``, shifted by each row's entry in column k of
-# ``left``, into ``out``. A product passes a fresh ``out``; the closure passes
-# the matrix itself as all three. Rows whose left entry is the additive
-# identity (0 for max-plus, S for min-plus) are "missed", the others "hit".
+# Step k folds row k of ``right``, shifted down by S minus each row's entry
+# in column k of ``left``, into ``out``. A product passes a fresh zero
+# ``out``; the closure passes the matrix itself as all three, so later steps
+# read rows that earlier steps updated (Warshall's and Floyd's order). Rows
+# whose left entry is 0 are "missed", the others "hit".
+#
+# Vector form:
 #
 # - Gather branch (fewer than half the rows hit): copy out the hit rows,
 #   combine them with the candidate and scatter them back.
 # - Dense branch (at least half hit): update every row in place, walking
 #   ``out`` in row tiles of about _TILE_BYTES so that a tile and its candidate
 #   buffer stay in L2 across the three ufunc passes. This is exact: a missed
-#   row's candidate is 0 (max-plus) or S (min-plus), which leaves it as it
-#   was. In a closure, step k never changes row k or column k (for max-plus
-#   subsat(x, S - e) <= x, min-plus mirrors it), so no row reads a value the
-#   same step wrote.
+#   row's candidate is 0, which leaves it as it was. In a closure, step k
+#   never changes row k or column k (subsat(x, S - e) <= x), so no row reads
+#   a value the same step wrote.
 #
 # The half threshold keeps sparse sweeps (few rows per step) on the gather
 # branch, where touching every row would cost more than the copies save.
@@ -417,76 +411,11 @@ def _maxplus_sweep(out, left, right, limit):
             out[hit] = cand
 
 
-def _mul_scalar(a, b, inner, limit):
-    width_cols = len(b[0])
-    out = [[0] * width_cols for _ in range(len(a))]
-    for k in range(inner):
-        row_k = b[k]
-        for r, row_a in enumerate(a):
-            e = row_a[k]
+def _maxplus_sweep_scalar(out, left, right, limit):
+    for k, row_k in enumerate(right):
+        for r, row_l in enumerate(left):
+            e = row_l[k]
             if e:
                 gap = limit - e
-                row_out = out[r]
-                row_out[:] = [
-                    v if (v := x - gap) > p else p for x, p in zip(row_k, row_out)
-                ]
-    return out
-
-
-def _close_scalar(t, dim, limit):
-    for k in range(dim):
-        row_k = t[k]
-        for r in range(dim):
-            e = t[r][k]
-            if e:
-                gap = limit - e
-                row = t[r]
+                row = out[r]
                 row[:] = [v if (v := x - gap) > p else p for x, p in zip(row_k, row)]
-
-
-def _minplus_sweep(out, left, right, limit):
-    rows = out.shape[0]
-    tiles = _row_tiles(out)
-    offset = np.empty((rows, 1), dtype=out.dtype)
-    room = np.empty((rows, 1), dtype=out.dtype)
-    for k in range(right.shape[0]):
-        column = left[:, k]
-        hit = np.nonzero(column != limit)[0]
-        row_k = right[k]
-        if 2 * hit.size >= rows:
-            offset[:, 0] = column
-            np.subtract(limit, column, out=room[:, 0])
-            for span, cand in tiles:
-                np.minimum(row_k, room[span], out=cand)
-                cand += offset[span]
-                tile = out[span]
-                np.minimum(tile, cand, out=tile)
-        elif hit.size:
-            cand = kernels.np_addsat(row_k[None, :], column[hit][:, None], limit)
-            np.minimum(out[hit], cand, out=cand)
-            out[hit] = cand
-
-
-def _minplus_mul_scalar(a, b, inner, limit):
-    width_cols = len(b[0])
-    out = [[limit] * width_cols for _ in range(len(a))]
-    for k in range(inner):
-        row_k = b[k]
-        for r, row_a in enumerate(a):
-            e = row_a[k]
-            if e != limit:
-                row_out = out[r]
-                row_out[:] = [
-                    v if (v := x + e) < p else p for x, p in zip(row_k, row_out)
-                ]
-    return out
-
-
-def _minplus_close_scalar(t, dim, limit):
-    for k in range(dim):
-        row_k = t[k]
-        for r in range(dim):
-            e = t[r][k]
-            if e != limit:
-                row = t[r]
-                row[:] = [v if (v := x + e) < p else p for x, p in zip(row_k, row)]

@@ -14,6 +14,21 @@ def _block_count(cols: int) -> int:
     return (cols + BLOCK_BITS - 1) // BLOCK_BITS
 
 
+def _pack_bits(bits):
+    """Blocks of a dense (rows, cols) array of 0/1 or bool entries."""
+    rows, cols = bits.shape
+    raw = np.zeros((rows, _block_count(cols) * 8), dtype=np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw[:, : packed.shape[1]] = packed
+    return raw.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_bits(blocks, cols):
+    """The (rows, cols) uint8 array of 0/1 entries held in ``blocks``."""
+    raw = blocks.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
+
+
 class BoolMatrix:
     """R x C matrix over {0, 1} under the (or, and) semiring.
 
@@ -46,8 +61,8 @@ class BoolMatrix:
     @classmethod
     def identity(cls, dim: int) -> "BoolMatrix":
         m = cls(dim, dim)
-        for i in range(dim):
-            m.set(i, i, 1)
+        idx = np.arange(dim)
+        m._set_bits(idx, idx)
         return m
 
     @classmethod
@@ -55,18 +70,24 @@ class BoolMatrix:
         if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
         ncols = len(rows[0])
-        m = cls(len(rows), ncols)
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-            words = [0] * m.block_columns
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry must be 0 or 1, got {v!r}")
-                if v:
-                    words[j >> 6] |= 1 << (j & 63)
-            m._blocks[i] = np.array(words, dtype=np.uint64)
-        return m
+        try:
+            bits = np.asarray(rows)
+        except ValueError:  # an entry is a sequence; the scan below names it
+            bits = None
+        if (
+            bits is None
+            or bits.shape != (len(rows), ncols)
+            or bits.dtype.kind not in "biuf"
+            or not ((bits == 0) | (bits == 1)).all()
+        ):
+            for row in rows:
+                for v in row:
+                    if v not in (0, 1):
+                        raise ValueError(f"entry must be 0 or 1, got {v!r}")
+        return cls(len(rows), ncols, _pack_bits(bits != 0))
 
     def copy(self) -> "BoolMatrix":
         return BoolMatrix(self.rows, self.cols, self._blocks.copy())
@@ -92,6 +113,12 @@ class BoolMatrix:
         self._check_index(i, j)
         return (int(self._blocks[i, j >> 6]) >> (j & 63)) & 1
 
+    def _set_bits(self, rows, cols) -> None:
+        """Set the bits at the index arrays (rows, cols), repeats allowed."""
+        cols = np.asarray(cols, dtype=np.intp)
+        masks = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+        np.bitwise_or.at(self._blocks, (rows, cols >> 6), masks)
+
     def set(self, i: int, j: int, value: int) -> None:
         self._check_index(i, j)
         if value not in (0, 1):
@@ -101,11 +128,7 @@ class BoolMatrix:
         self._blocks[i, j >> 6] = np.uint64(word | bit if value else word & ~bit)
 
     def to_lists(self) -> list[list[int]]:
-        raw = np.frombuffer(
-            self._blocks.astype("<u8", copy=False).tobytes(), dtype=np.uint8
-        ).reshape(self.rows, self.block_columns * 8)
-        bits = np.unpackbits(raw, axis=1, bitorder="little")[:, : self.cols]
-        return bits.tolist()
+        return _unpack_bits(self._blocks, self.cols).tolist()
 
     # -- entrywise operations -------------------------------------------
 
@@ -162,30 +185,21 @@ class BoolMatrix:
                 f"{other.rows}x{other.cols}"
             )
         out = BoolMatrix(self.rows, other.cols)
-        a, b, p = self._blocks, other._blocks, out._blocks
-        one = np.uint64(1)
-        for k in range(self.cols):
-            column = (a[:, k >> 6] >> np.uint64(k & 63)) & one
-            hit = np.nonzero(column)[0]
-            if hit.size:
-                p[hit] |= b[k]
+        _or_sweep(out._blocks, self._blocks, other._blocks)
         return out
 
     def transitive_closure(self) -> "BoolMatrix":
         """Reachability by one or more edges; diagonal set only for cycles.
 
-        In-place sweep over a copy: for each k, row k is OR-ed into every row
-        whose column-k bit is set, and the updated matrix feeds later steps.
+        The product's sweep run in place over a copy, passed as output and
+        both factors (Warshall's algorithm): for each k, row k is OR-ed into
+        every row whose column-k bit is set, and the updated matrix feeds
+        later steps.
         """
         if self.rows != self.cols:
             raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
         t = self._blocks.copy()
-        one = np.uint64(1)
-        for k in range(self.cols):
-            column = (t[:, k >> 6] >> np.uint64(k & 63)) & one
-            hit = np.nonzero(column)[0]
-            if hit.size:
-                t[hit] |= t[k]
+        _or_sweep(t, t, t)
         return BoolMatrix(self.rows, self.cols, t)
 
     def reflexive_transitive_closure(self) -> "BoolMatrix":
@@ -196,3 +210,14 @@ class BoolMatrix:
 
     def __repr__(self):
         return f"<BoolMatrix {self.rows}x{self.cols}>"
+
+
+def _or_sweep(out, left, right):
+    """Outer-product sweep: OR row k of ``right`` into every row of ``out``
+    whose bit k of ``left`` is set, for each k in turn."""
+    one = np.uint64(1)
+    for k in range(right.shape[0]):
+        column = (left[:, k >> 6] >> np.uint64(k & 63)) & one
+        hit = np.nonzero(column)[0]
+        if hit.size:
+            out[hit] |= right[k]

@@ -7,6 +7,8 @@ and edges without a weight get weight 1.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .antidist import AntidistMatrix, DistMatrix
 from .boolmat import BoolMatrix
 
@@ -82,8 +84,10 @@ def parse_edge_list(text: str) -> GraphSpec:
 def bool_adjacency(spec: GraphSpec) -> BoolMatrix:
     """Unweighted adjacency matrix: a set bit per edge."""
     m = BoolMatrix(spec.vertex_count, spec.vertex_count)
-    for u, v, _ in spec.edges:
-        m.set(u, v, 1)
+    ends = np.fromiter((x for u, v, _ in spec.edges for x in (u, v)), np.intp, 2 * len(spec.edges))
+    if ends.size and (ends.min() < 0 or ends.max() >= spec.vertex_count):
+        raise IndexError(f"edge endpoint out of range for {spec.vertex_count} vertices")
+    m._set_bits(ends[0::2], ends[1::2])
     return m
 
 

@@ -52,9 +52,7 @@ def sat_neg(a: int, width: int = 8) -> int:
     return sat_limit(width) - a
 
 
-def delta(a: int, width: int = 8) -> int:
-    """Distance encoded by anti-distance value a: S for a = 0, zero for a = S."""
-    return sat_limit(width) - a
+delta = sat_neg
 
 
 def dist_mul(a: int, b: int, width: int = 8) -> int:

@@ -41,6 +41,34 @@ def test_identity_neutral():
     assert (a * i) == a
 
 
+@pytest.mark.parametrize("bad", [2, -1, "1", 0.5, None, [0]])
+def test_from_lists_rejects_non_bits(bad):
+    grid = [[0, 1, 0], [1, 0, 1]]
+    grid[1][2] = bad
+    with pytest.raises(ValueError, match=r"entry must be 0 or 1, got " + repr(bad).replace("[", r"\[")):
+        BoolMatrix.from_lists(grid)
+    with pytest.raises(ValueError, match="row 1 has 2 entries, expected 3"):
+        BoolMatrix.from_lists([[0, 1, 0], [1, 0]])
+
+
+def test_packing_matches_per_entry_set():
+    rng = random.Random(3)
+    grid = random_bool_lists(rng, 5, 131)
+    grid[0][:3] = [True, False, 1.0]
+    want = BoolMatrix.zeros(5, 131)
+    for r, row in enumerate(grid):
+        for c, v in enumerate(row):
+            if v:
+                want.set(r, c, 1)
+    assert BoolMatrix.from_lists(grid) == want
+    assert BoolMatrix.from_lists(grid).to_lists() == [[int(v) for v in row] for row in grid]
+    eye = BoolMatrix.zeros(131, 131)
+    for i in range(131):
+        eye.set(i, i, 1)
+    assert BoolMatrix.identity(131) == eye
+    assert_padding_clear(BoolMatrix.identity(131))
+
+
 def test_get_set_roundtrip():
     m = BoolMatrix.zeros(3, 70)
     m.set(1, 64, 1)

@@ -224,3 +224,14 @@ def test_malformed_matrix_file_is_an_error(tmp_path, capsys, text):
     assert code == 1
     assert err.startswith("semimat: error:")
     assert not (tmp_path / "m.mat").exists()
+
+
+@pytest.mark.parametrize("flags", [["--bool"], ["--width", "8"]])
+def test_closure_too_large_to_allocate_is_an_error(tmp_path, capsys, flags):
+    g = tmp_path / "g.txt"
+    g.write_text("p 3000000000\n0 1\n")
+    code, out, err = run(capsys, "closure", str(g), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("semimat: error:")
+    assert "Traceback" not in err

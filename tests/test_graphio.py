@@ -1,7 +1,8 @@
 import pytest
 
 from semimat import graphio
-from semimat.graphio import GraphParseError, parse_edge_list
+from semimat.boolmat import BoolMatrix
+from semimat.graphio import GraphParseError, GraphSpec, parse_edge_list
 
 
 def test_parse_weighted():
@@ -58,3 +59,16 @@ def test_weight_width_check_happens_at_build():
     with pytest.raises(ValueError, match="weight 300"):
         graphio.antidist_adjacency(spec, 8)
     assert graphio.antidist_adjacency(spec, 16).get(0, 1) == 65535 - 300
+
+
+def test_bool_adjacency_sets_each_edge_bit():
+    edges = [(0, 1, 5), (0, 1, 2), (3, 64, 1), (129, 0, 1), (64, 129, 1), (7, 7, 1)]
+    got = graphio.bool_adjacency(GraphSpec(130, edges))
+    want = BoolMatrix.zeros(130, 130)
+    for u, v, _ in edges:
+        want.set(u, v, 1)
+    assert got == want
+    assert graphio.bool_adjacency(GraphSpec(3)) == BoolMatrix.zeros(3, 3)
+    for bad in ((0, 3, 1), (-1, 0, 1)):
+        with pytest.raises(IndexError, match="out of range"):
+            graphio.bool_adjacency(GraphSpec(3, [bad]))
