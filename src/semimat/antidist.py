@@ -35,25 +35,22 @@ that stay in L2.
 import numpy as np
 
 from . import kernels
-from .boolmat import BoolMatrix, _pack_bits, _unpack_bits
+from .boolmat import BoolMatrix, _Matrix, _pack_bits, _unpack_bits
 from .scalars import sat_limit
 
 
-class _LaneMatrix:
+class _LaneMatrix(_Matrix):
     """Shared storage and entrywise algebra of the two saturated matrix types."""
 
-    __slots__ = ("rows", "cols", "width", "_data")
+    __slots__ = ("width", "_data")
 
     _PAD_IS_LIMIT = False
 
     def __init__(self, rows: int, cols: int, width: int = 8, _data=None):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        super().__init__(rows, cols)
         dtype = kernels.dtype_for(width)
         lanes = kernels.lane_count(width)
         padded = -(-cols // lanes) * lanes
-        self.rows = rows
-        self.cols = cols
         self.width = width
         if _data is None:
             _data = np.full((rows, padded), self._pad_fill(width), dtype=dtype)
@@ -86,38 +83,38 @@ class _LaneMatrix:
     def copy(self):
         return type(self)(self.rows, self.cols, self.width, self._data.copy())
 
-    def _check_index(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
-
     def get(self, i: int, j: int) -> int:
         self._check_index(i, j)
         return int(self._data[i, j])
 
     def set(self, i: int, j: int, value: int) -> None:
         self._check_index(i, j)
-        if not 0 <= value <= self.limit:
-            raise ValueError(f"entry {value!r} outside [0, {self.limit}]")
-        self._data[i, j] = value
+        self._data[i, j] = self._lanes(np.asarray(value))
 
     def to_lists(self) -> list[list[int]]:
         return self._data[:, : self.cols].tolist()
 
     @classmethod
-    def from_lists(cls, rows: list[list[int]], width: int = 8):
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-        ncols = len(rows[0])
+    def from_lists(cls, rows, width: int = 8):
+        """Matrix of a rectangular 2-D array-like (nested lists or an array)
+        of whole numbers in [0, S]."""
+        ncols = cls._row_length(rows)
         m = cls(len(rows), ncols, width)
-        limit = m.limit
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-            for v in row:
-                if not 0 <= v <= limit:
-                    raise ValueError(f"entry {v!r} outside [0, {limit}]")
-            m._data[i, :ncols] = row
+        m._data[:, :ncols] = m._lanes(np.asarray(rows))
         return m
+
+    def _lanes(self, entries):
+        """``entries`` cast to the lane type, refusing any that is not a whole
+        number in [0, S]; the first bad entry in row-major order is named."""
+        limit = self.limit
+        bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
+        if bad.any():
+            raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
+        lanes = entries.astype(self._data.dtype)
+        bad = lanes != entries
+        if bad.any():
+            raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} is not a whole number")
+        return lanes
 
     def _fix_padding(self):
         if self.padded_cols != self.cols:
@@ -125,19 +122,14 @@ class _LaneMatrix:
 
     # -- entrywise algebra -------------------------------------------------
 
-    def _check_same(self, other):
+    def _entrywise(self, other, np_op, py_op):
         if type(other) is not type(self):
-            raise TypeError(
-                f"expected {type(self).__name__}, got {type(other).__name__}"
-            )
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if (self.rows, self.cols, self.width) != (other.rows, other.cols, other.width):
             raise ValueError(
                 f"shape/width mismatch: {self.rows}x{self.cols}/w{self.width} vs "
                 f"{other.rows}x{other.cols}/w{other.width}"
             )
-
-    def _entrywise(self, other, np_op, py_op):
-        self._check_same(other)
         if kernels.use_vector():
             data = np_op(self._data, other._data)
         else:
@@ -176,11 +168,7 @@ class _LaneMatrix:
         """Width and inner-dimension agreement of the product ``self * other``."""
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        if self.cols != other.rows:
-            raise ValueError(
-                f"inner dimensions disagree: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}"
-            )
+        self._check_inner(other)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -191,16 +179,12 @@ class _LaneMatrix:
             and np.array_equal(self._data, other._data)
         )
 
-    __hash__ = None
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.rows}x{self.cols} width={self.width}>"
 
 
 class AntidistMatrix(_LaneMatrix):
     """Matrix of anti-distance values; see the module docstring."""
-
-    _PAD_IS_LIMIT = False
 
     @classmethod
     def zeros(cls, rows: int, cols: int, width: int = 8) -> "AntidistMatrix":
@@ -271,8 +255,7 @@ class AntidistMatrix(_LaneMatrix):
 
     def transitive_close(self) -> None:
         """In-place variant of :meth:`transitive_closure`."""
-        if self.rows != self.cols:
-            raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
+        self._check_square()
         if kernels.use_vector():
             _maxplus_sweep(self._data, self._data, self._data, self.limit)
         else:
@@ -306,10 +289,7 @@ class DistMatrix(_LaneMatrix):
     @classmethod
     def identity(cls, dim: int, width: int = 8) -> "DistMatrix":
         """Zero on the diagonal, S elsewhere; neutral for the min-plus product."""
-        m = cls(dim, dim, width)
-        idx = np.arange(dim)
-        m._data[idx, idx] = 0
-        return m
+        return AntidistMatrix.identity(dim, width)._flip()
 
     @classmethod
     def from_edges(cls, dim: int, edges, width: int = 8) -> "DistMatrix":
@@ -396,7 +376,7 @@ def _maxplus_sweep(out, left, right, limit):
     gap = np.empty((rows, 1), dtype=out.dtype)
     for k in range(right.shape[0]):
         column = left[:, k]
-        hit = np.nonzero(column)[0]
+        hit = np.nonzero(column != 0)[0]  # a contiguous mask: faster than the strided column
         row_k = right[k]
         if 2 * hit.size >= rows:
             np.subtract(limit, column, out=gap[:, 0])

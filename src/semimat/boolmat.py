@@ -29,7 +29,47 @@ def _unpack_bits(blocks, cols):
     return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
 
 
-class BoolMatrix:
+class _Matrix:
+    """Shape rules shared by the Boolean and the saturated matrix types."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: int, cols: int):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        self.rows = rows
+        self.cols = cols
+
+    @staticmethod
+    def _row_length(rows) -> int:
+        """Common length of the rows of a 2-D array-like; refuses ragged rows."""
+        if len(rows) == 0 or len(rows[0]) == 0:
+            raise ValueError("matrix dimensions must be positive")
+        ncols = len(rows[0])
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+        return ncols
+
+    def _check_index(self, i, j):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
+
+    def _check_inner(self, other):
+        if self.cols != other.rows:
+            raise ValueError(
+                f"inner dimensions disagree: {self.rows}x{self.cols} times "
+                f"{other.rows}x{other.cols}"
+            )
+
+    def _check_square(self):
+        if self.rows != self.cols:
+            raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
+
+    __hash__ = None
+
+
+class BoolMatrix(_Matrix):
     """R x C matrix over {0, 1} under the (or, and) semiring.
 
     Read as an adjacency matrix, the product A * B has entry (i, j) set
@@ -39,13 +79,10 @@ class BoolMatrix:
     across threads as long as set() is not used concurrently.
     """
 
-    __slots__ = ("rows", "cols", "_blocks")
+    __slots__ = ("_blocks",)
 
     def __init__(self, rows: int, cols: int, _blocks=None):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
+        super().__init__(rows, cols)
         if _blocks is None:
             _blocks = np.zeros((rows, _block_count(cols)), dtype=np.uint64)
         elif _blocks.shape != (rows, _block_count(cols)) or _blocks.dtype != np.uint64:
@@ -66,13 +103,10 @@ class BoolMatrix:
         return m
 
     @classmethod
-    def from_lists(cls, rows: list[list[int]]) -> "BoolMatrix":
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-        ncols = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+    def from_lists(cls, rows) -> "BoolMatrix":
+        """Matrix of a rectangular 2-D array-like (nested lists or an array)
+        of 0/1 or bool entries."""
+        ncols = cls._row_length(rows)
         try:
             bits = np.asarray(rows)
         except ValueError:  # an entry is a sequence; the scan below names it
@@ -105,10 +139,6 @@ class BoolMatrix:
         view.flags.writeable = False
         return view
 
-    def _check_index(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
-
     def get(self, i: int, j: int) -> int:
         self._check_index(i, j)
         return (int(self._blocks[i, j >> 6]) >> (j & 63)) & 1
@@ -132,25 +162,23 @@ class BoolMatrix:
 
     # -- entrywise operations -------------------------------------------
 
-    def _check_same_shape(self, other):
+    def _entrywise(self, other, op) -> "BoolMatrix":
         if not isinstance(other, BoolMatrix):
             raise TypeError(f"expected BoolMatrix, got {type(other).__name__}")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+        return BoolMatrix(self.rows, self.cols, op(self._blocks, other._blocks))
 
     def __or__(self, other) -> "BoolMatrix":
-        self._check_same_shape(other)
-        return BoolMatrix(self.rows, self.cols, self._blocks | other._blocks)
+        return self._entrywise(other, np.bitwise_or)
 
     def __and__(self, other) -> "BoolMatrix":
-        self._check_same_shape(other)
-        return BoolMatrix(self.rows, self.cols, self._blocks & other._blocks)
+        return self._entrywise(other, np.bitwise_and)
 
     def __xor__(self, other) -> "BoolMatrix":
-        self._check_same_shape(other)
-        return BoolMatrix(self.rows, self.cols, self._blocks ^ other._blocks)
+        return self._entrywise(other, np.bitwise_xor)
 
     def __invert__(self) -> "BoolMatrix":
         flipped = ~self._blocks
@@ -167,8 +195,6 @@ class BoolMatrix:
             and np.array_equal(self._blocks, other._blocks)
         )
 
-    __hash__ = None
-
     # -- semiring product and closures -----------------------------------
 
     def __mul__(self, other) -> "BoolMatrix":
@@ -179,11 +205,7 @@ class BoolMatrix:
         """
         if not isinstance(other, BoolMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"inner dimensions disagree: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}"
-            )
+        self._check_inner(other)
         out = BoolMatrix(self.rows, other.cols)
         _or_sweep(out._blocks, self._blocks, other._blocks)
         return out
@@ -196,17 +218,14 @@ class BoolMatrix:
         every row whose column-k bit is set, and the updated matrix feeds
         later steps.
         """
-        if self.rows != self.cols:
-            raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
+        self._check_square()
         t = self._blocks.copy()
         _or_sweep(t, t, t)
         return BoolMatrix(self.rows, self.cols, t)
 
     def reflexive_transitive_closure(self) -> "BoolMatrix":
         """Transitive closure joined with the identity (paths of length >= 0)."""
-        if self.rows != self.cols:
-            raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
-        return BoolMatrix.identity(self.rows) | self.transitive_closure()
+        return self.transitive_closure() | BoolMatrix.identity(self.rows)
 
     def __repr__(self):
         return f"<BoolMatrix {self.rows}x{self.cols}>"

@@ -10,13 +10,15 @@ payload: packed 64-bit little-endian blocks for Boolean matrices (padding
 bits zero), bare little-endian entries without padding for lane matrices.
 """
 
+import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .antidist import AntidistMatrix, DistMatrix
-from .boolmat import BoolMatrix, _block_count
+from .boolmat import BoolMatrix, _block_count, _unpack_bits
 
 MAGIC = b"SRMAT1"
 _HEADER = struct.Struct("<6sBBII")
@@ -36,15 +38,14 @@ class MatrixFormatError(ValueError):
 
 def format_text(m) -> str:
     if isinstance(m, BoolMatrix):
-        head = f"bool {m.rows} {m.cols}"
-        body = ("".join("1" if v else "0" for v in row) for row in m.to_lists())
-    elif isinstance(m, (AntidistMatrix, DistMatrix)):
+        chars = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
+        np.add(_unpack_bits(m.blocks, m.cols), ord("0"), out=chars[:, :-1])
+        return f"bool {m.rows} {m.cols}\n" + chars.tobytes().decode()
+    if isinstance(m, (AntidistMatrix, DistMatrix)):
         kind = "antidist" if isinstance(m, AntidistMatrix) else "dist"
-        head = f"{kind} {m.width} {m.rows} {m.cols}"
         body = (" ".join(str(v) for v in row) for row in m.to_lists())
-    else:
-        raise TypeError(f"cannot serialize {type(m).__name__}")
-    return "\n".join([head, *body]) + "\n"
+        return "\n".join([f"{kind} {m.width} {m.rows} {m.cols}", *body]) + "\n"
+    raise TypeError(f"cannot serialize {type(m).__name__}")
 
 
 def _parse_header_ints(parts):
@@ -67,6 +68,36 @@ def _data_lines(lines, rows, cols):
     return body
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_integers(lines):
+    """ASCII lines of whitespace-separated decimal integers as one int64
+    array, a row per line; None if any line holds anything else."""
+    if not all(map(str.isascii, lines)):
+        return None  # numpy's integer parser takes some non-ASCII letters for digits
+    with warnings.catch_warnings():
+        # numpy 1.x reads "1.5" as 1 and only warns; make that an error
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _bad_line(body, cols):
+    """The error naming the first data line that does not hold ``cols``
+    integers _read_integers accepts."""
+    for lineno, line in enumerate(body, start=2):
+        fields = line.split()
+        if len(fields) != cols:
+            return MatrixFormatError(f"line {lineno}: expected {cols} values, found {len(fields)}")
+        if _read_integers([line]) is None:
+            # a line of well-formed integers fails only if one overflows int64
+            what = "out-of-range" if all(map(_INTEGER.fullmatch, fields)) else "non-integer"
+            return MatrixFormatError(f"line {lineno}: {what} entry")
+
+
 def parse_text(text: str):
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -77,29 +108,23 @@ def parse_text(text: str):
         if len(head) != 3:
             raise MatrixFormatError("bool header must be 'bool R C'")
         rows, cols = _parse_header_ints(head[1:])
-        grid = []
-        for lineno, line in enumerate(_data_lines(lines, rows, cols), start=2):
-            row = line.strip()
-            if len(row) != cols or any(ch not in "01" for ch in row):
+        body = [line.strip() for line in _data_lines(lines, rows, cols)]
+        for lineno, row in enumerate(body, start=2):
+            if len(row) != cols or row.strip("01"):
                 raise MatrixFormatError(f"line {lineno}: expected {cols} characters of 0/1")
-            grid.append([1 if ch == "1" else 0 for ch in row])
-        return BoolMatrix.from_lists(grid)
+        chars = np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols)
+        return BoolMatrix.from_lists(chars == ord("1"))
     if kind in ("antidist", "dist"):
         if len(head) != 4:
             raise MatrixFormatError(f"{kind} header must be '{kind} W R C'")
         width, rows, cols = _parse_header_ints(head[1:])
         cls = AntidistMatrix if kind == "antidist" else DistMatrix
-        grid = []
-        for lineno, line in enumerate(_data_lines(lines, rows, cols), start=2):
-            parts = line.split()
-            if len(parts) != cols:
-                raise MatrixFormatError(f"line {lineno}: expected {cols} values, found {len(parts)}")
-            try:
-                grid.append([int(p) for p in parts])
-            except ValueError:
-                raise MatrixFormatError(f"line {lineno}: non-integer entry") from None
+        body = _data_lines(lines, rows, cols)
+        entries = _read_integers(body)
+        if entries is None or entries.shape != (rows, cols):  # loadtxt skips blank lines
+            raise _bad_line(body, cols)
         try:
-            return cls.from_lists(grid, width)
+            return cls.from_lists(entries, width)
         except ValueError as exc:
             raise MatrixFormatError(str(exc)) from None
     raise MatrixFormatError(f"unknown matrix type {kind!r}")
@@ -151,10 +176,8 @@ def from_binary(data: bytes):
         if len(payload) != expected:
             raise MatrixFormatError(f"payload is {len(payload)} bytes, expected {expected}")
         cls = AntidistMatrix if tag == _TYPE_ANTIDIST else DistMatrix
-        m = cls(rows, cols, width)
         entries = np.frombuffer(payload, dtype=_LANE_DTYPES[width]).reshape(rows, cols)
-        m._data[:, :cols] = entries
-        return m
+        return cls.from_lists(entries, width)
     raise MatrixFormatError(f"unknown type byte {tag:#x}")
 
 

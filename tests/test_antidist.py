@@ -88,6 +88,42 @@ def test_get_set_bounds():
         m.get(0, 2)
 
 
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_lane_entries_must_be_whole_numbers(cls):
+    with pytest.raises(ValueError, match="entry 1.5 is not a whole number"):
+        cls.from_lists([[1.5, 2.9]], 8)
+    m = cls.from_lists([[2.0, 255.0]], 8)  # whole floats are accepted
+    assert m.to_lists() == [[2, 255]]
+    with pytest.raises(ValueError, match="entry 7.9 is not a whole number"):
+        m.set(0, 0, 7.9)
+    with pytest.raises(ValueError, match="entry nan outside"):
+        m.set(0, 0, float("nan"))
+    m.set(0, 0, 7.0)
+    assert m.get(0, 0) == 7
+
+
+def test_from_lists_names_the_first_bad_entry():
+    # A Python int wider than any numpy integer still gets the range message.
+    with pytest.raises(ValueError, match=r"entry 1180591620717411303424 outside \[0, 255\]"):
+        AntidistMatrix.from_lists([[2**70]], 8)
+    # Row-major order: the first bad entry of row 0 comes before row 1's.
+    with pytest.raises(ValueError, match=r"entry 70000 outside \[0, 65535\]"):
+        DistMatrix.from_lists([[3, 70000], [-1, 2]], 16)
+    with pytest.raises(ValueError, match=r"entry -1 outside \[0, 65535\]"):
+        DistMatrix.from_lists(np.array([[3, 2], [-1, 70000]]), 16)
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        AntidistMatrix.from_lists([[1, 2], [3]], 8)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_from_lists_takes_arrays(width, cls):
+    rows = random_values(random.Random(width), 3, 21, sat_limit(width))
+    want = cls.from_lists(rows, width)
+    assert cls.from_lists(np.array(rows), width) == want
+    assert cls.from_lists(np.array(rows, dtype=kernels.dtype_for(width)), width) == want
+
+
 # -- entrywise ops -------------------------------------------------------------
 
 def test_entrywise_examples():

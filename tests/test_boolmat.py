@@ -51,6 +51,16 @@ def test_from_lists_rejects_non_bits(bad):
         BoolMatrix.from_lists([[0, 1, 0], [1, 0]])
 
 
+def test_from_lists_takes_arrays():
+    grid = random_bool_lists(random.Random(4), 3, 70)
+    want = BoolMatrix.from_lists(grid)
+    assert BoolMatrix.from_lists(np.array(grid)) == want
+    assert BoolMatrix.from_lists(np.array(grid, dtype=bool)) == want
+    assert BoolMatrix.from_lists(np.array(grid, dtype=np.uint8)) == want
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        BoolMatrix.from_lists(np.zeros((0, 3)))
+
+
 def test_packing_matches_per_entry_set():
     rng = random.Random(3)
     grid = random_bool_lists(rng, 5, 131)

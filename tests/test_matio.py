@@ -75,6 +75,53 @@ def test_parse_text_errors():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bool 2 3\n010\n01\n", "line 3: expected 3 characters of 0/1"),
+        ("bool 2 3\n010\n0110\n", "line 3: expected 3 characters of 0/1"),
+        ("bool 2 3\n010\n0x1\n", "line 3: expected 3 characters of 0/1"),
+        ("bool 2 3\n01\u00e9\n010\n", "line 2: expected 3 characters of 0/1"),
+        ("antidist 8 2 2\n1 2\n3\n", "line 3: expected 2 values, found 1"),
+        ("dist 16 3 2\n1 2\n3 4\n5 6 7\n", "line 4: expected 2 values, found 3"),
+        ("dist 16 3 2\n1 2\n \n5 6\n", "line 3: expected 2 values, found 0"),
+        ("antidist 8 2 2\n1 2\n\n", "line 3: expected 2 values, found 0"),
+        ("antidist 8 2 2\n1 2\n3 x\n", "line 3: non-integer entry"),
+        ("dist 8 2 2\n1 1.5\n3 4\n", "line 2: non-integer entry"),
+        ("antidist 32 2 1\n1\n\u0663\n", "line 3: non-integer entry"),
+        ("antidist 16 1 1\n1\u01fe2\n", "line 2: non-integer entry"),
+        ("antidist 8 2 1\n1\n99999999999999999999\n", "line 3: out-of-range entry"),
+        ("antidist 8 1 2\n1 300\n", r"entry 300 outside \[0, 255\]"),
+        ("dist 16 2 2\n1 2\n-1 4\n", r"entry -1 outside \[0, 65535\]"),
+    ],
+)
+def test_parse_text_errors_name_their_line(text, message):
+    with pytest.raises(MatrixFormatError, match=message):
+        matio.parse_text(text)
+
+
+def test_format_text_golden():
+    b = BoolMatrix.zeros(2, 70)
+    for j in range(0, 70, 3):
+        b.set(0, j, 1)
+    for j in (0, 63, 64, 69):
+        b.set(1, j, 1)
+    assert matio.format_text(b) == (
+        "bool 2 70\n"
+        "1001001001001001001001001001001001001001001001001001001001001001001001\n"
+        "1000000000000000000000000000000000000000000000000000000000000001100001\n"
+    )
+    d = DistMatrix.from_lists([[0, 65535, 7], [65535, 1, 300]], 16)
+    assert matio.format_text(d) == "dist 16 2 3\n0 65535 7\n65535 1 300\n"
+    assert matio.parse_text(matio.format_text(b)) == b
+    assert matio.parse_text(matio.format_text(d)) == d
+
+
+def test_parse_text_accepts_signs_and_whitespace():
+    m = matio.parse_text("antidist 8 2 3\n  +1\t2   3 \n0 -0 255\n")
+    assert m == AntidistMatrix.from_lists([[1, 2, 3], [0, 0, 255]], 8)
+
+
+@pytest.mark.parametrize(
     "head, row",
     [("bool 1 2", "01"), ("antidist 8 1 2", "1 2"), ("dist 16 1 2", "3 4")],
 )
