@@ -89,7 +89,7 @@ class _LaneMatrix(_Matrix):
 
     def set(self, i: int, j: int, value: int) -> None:
         self._check_index(i, j)
-        self._data[i, j] = self._lanes(np.asarray(value))
+        self._data[i, j] = kernels.as_lanes(value, self.width)
 
     def to_lists(self) -> list[list[int]]:
         return self._data[:, : self.cols].tolist()
@@ -100,21 +100,8 @@ class _LaneMatrix(_Matrix):
         of whole numbers in [0, S]."""
         ncols = cls._row_length(rows)
         m = cls(len(rows), ncols, width)
-        m._data[:, :ncols] = m._lanes(np.asarray(rows))
+        m._data[:, :ncols] = kernels.as_lanes(rows, width)
         return m
-
-    def _lanes(self, entries):
-        """``entries`` cast to the lane type, refusing any that is not a whole
-        number in [0, S]; the first bad entry in row-major order is named."""
-        limit = self.limit
-        bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
-        if bad.any():
-            raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
-        lanes = entries.astype(self._data.dtype)
-        bad = lanes != entries
-        if bad.any():
-            raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} is not a whole number")
-        return lanes
 
     def _fix_padding(self):
         if self.padded_cols != self.cols:
@@ -203,8 +190,8 @@ class AntidistMatrix(_LaneMatrix):
     def from_edges(cls, dim: int, edges, width: int = 8) -> "AntidistMatrix":
         """Adjacency matrix of weighted directed edges (u, v, w).
 
-        Weights must lie in [0, S]. Parallel edges keep the shortest
-        distance, i.e. the largest encoded value.
+        Weights must be whole numbers in [0, S]. Parallel edges keep the
+        shortest distance, i.e. the largest encoded value.
         """
         m = cls(dim, dim, width)
         limit = m.limit
@@ -216,6 +203,8 @@ class AntidistMatrix(_LaneMatrix):
                 raise ValueError(f"target vertex {v} out of range [0, {dim})")
             if not 0 <= w <= limit:
                 raise ValueError(f"weight {w} outside [0, {limit}]")
+            if w != int(w):
+                raise ValueError(f"weight {w} is not a whole number")
             value = limit - w
             if value > int(data[u, v]):
                 data[u, v] = value

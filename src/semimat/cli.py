@@ -12,6 +12,7 @@ import numpy as np
 
 from . import graphio, kernels, matio
 from .antidist import AntidistMatrix
+from .scalars import sat_limit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,9 +127,8 @@ class BenchReport:
 
 
 def _random_antidist(size, width, rng) -> AntidistMatrix:
-    m = AntidistMatrix(size, size, width)
-    m._data[:, :size] = rng.integers(0, m.limit + 1, size=(size, size), dtype=m._data.dtype)
-    return m
+    entries = rng.integers(0, sat_limit(width) + 1, size=(size, size), dtype=kernels.dtype_for(width))
+    return AntidistMatrix.from_lists(entries, width)
 
 
 def _bench_run(op, size, width, seed):

@@ -6,6 +6,7 @@ and edges without a weight get weight 1.
 """
 
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -81,10 +82,21 @@ def parse_edge_list(text: str) -> GraphSpec:
     return GraphSpec(count, edges, weighted)
 
 
+def _vertex(end):
+    """``end`` as a Python int; a float or any other non-integer is refused,
+    never truncated."""
+    try:
+        return index(end)
+    except TypeError:
+        raise IndexError(f"edge end {end!r} is not a vertex index") from None
+
+
 def bool_adjacency(spec: GraphSpec) -> BoolMatrix:
     """Unweighted adjacency matrix: a set bit per edge."""
     m = BoolMatrix(spec.vertex_count, spec.vertex_count)
-    ends = np.fromiter((x for u, v, _ in spec.edges for x in (u, v)), np.intp, 2 * len(spec.edges))
+    ends = np.fromiter(
+        (_vertex(x) for u, v, _ in spec.edges for x in (u, v)), np.intp, 2 * len(spec.edges)
+    )
     if ends.size and (ends.min() < 0 or ends.max() >= spec.vertex_count):
         raise IndexError(f"edge endpoint out of range for {spec.vertex_count} vertices")
     m._set_bits(ends[0::2], ends[1::2])

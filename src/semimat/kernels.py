@@ -22,8 +22,16 @@ branch-free rewrites ``max(a, b) - b`` for saturating subtraction and
 add followed by flooding the lanes that wrapped would work for the addition
 as well.) The scalar path computes the definitions directly, which keeps the
 two sides independent of each other.
+
+One lane rule serves both paths: a lane holds a whole number in [0, S].
+:func:`as_lanes` is the only check of it, and every value that becomes a
+lane goes through it before the path is taken (the lane ops, :func:`clonenot`,
+and the matrix types' ``from_lists`` and ``set``), so the two paths refuse
+exactly the same inputs with the same message and never round, wrap or cast
+a value in silence.
 """
 
+import numbers
 import os
 import platform
 from contextlib import contextmanager
@@ -90,42 +98,42 @@ def forced_vector():
     return _forced_path("vector")
 
 
-def _np_lanes(seq, width):
-    """Coerce a flat sequence to the lane dtype, refusing silent wraparound."""
-    dtype = _DTYPES[width]
-    arr = np.asarray(seq)
-    if arr.dtype != dtype:
-        if arr.size and (arr.min() < 0 or arr.max() > sat_limit(width)):
-            raise ValueError(f"lane value outside [0, {sat_limit(width)}]")
-        arr = arr.astype(dtype)
-    if arr.ndim != 1 or arr.size % lane_count(width):
-        raise ValueError(
-            f"expected a flat sequence of a multiple of {lane_count(width)} lanes"
-        )
-    return arr
+def as_lanes(values, width: int):
+    """``values`` (a number or an array-like of any shape) as an array of the
+    lane dtype for ``width``.
 
-
-def _py_lanes(seq, width):
-    vals = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
-    if len(vals) % lane_count(width):
-        raise ValueError(
-            f"expected a flat sequence of a multiple of {lane_count(width)} lanes"
-        )
+    Every entry must be a whole number in [0, S]; otherwise ``ValueError``
+    names the first entry, in row-major order, of the first rule it breaks:
+    ``entry v is not a number``, ``entry v outside [0, S]`` (NaN included)
+    or ``entry v is not a whole number``. Whole floats such as 2.0 pass.
+    """
+    entries = np.asarray(values)
+    if entries.dtype.kind not in "biuf":  # strings, None, ints wider than int64, ...
+        # numpy turns [2, "1"] into two strings; an object array keeps the 2.
+        for v in np.asarray(values, dtype=object).ravel().tolist():
+            if not isinstance(v, numbers.Real):
+                raise ValueError(f"entry {v!r} is not a number")
     limit = sat_limit(width)
-    for v in vals:
-        if not 0 <= v <= limit:
-            raise ValueError(f"lane value {v} outside [0, {limit}]")
-    return vals
+    bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
+    if bad.any():
+        raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
+    lanes = entries.astype(_DTYPES[width])
+    bad = lanes != entries
+    if bad.any():
+        raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} is not a whole number")
+    return lanes
 
 
 def _pair(a, b, width, vector):
-    if vector:
-        x, y = _np_lanes(a, width), _np_lanes(b, width)
-    else:
-        x, y = _py_lanes(a, width), _py_lanes(b, width)
-    if len(x) != len(y):
-        raise ValueError(f"lane count mismatch: {len(x)} vs {len(y)}")
-    return x, y
+    """Both operands as checked flat lanes: arrays for the vector path, lists
+    of Python ints for the scalar path."""
+    x, y = as_lanes(a, width), as_lanes(b, width)
+    block = lane_count(width)
+    if x.ndim != 1 or y.ndim != 1 or x.size % block or y.size % block:
+        raise ValueError(f"expected a flat sequence of a multiple of {block} lanes")
+    if x.size != y.size:
+        raise ValueError(f"lane count mismatch: {x.size} vs {y.size}")
+    return (x, y) if vector else (x.tolist(), y.tolist())
 
 
 def clonenot(value: int, width: int = 8, count: int | None = None) -> list[int]:
@@ -139,8 +147,7 @@ def clonenot(value: int, width: int = 8, count: int | None = None) -> list[int]:
     n = block if count is None else count
     if n <= 0 or n % block:
         raise ValueError(f"count must be a positive multiple of {block}, got {count}")
-    if not 0 <= value <= limit:
-        raise ValueError(f"lane value {value} outside [0, {limit}]")
+    value = as_lanes(value, width).item()
     if use_vector():
         return np.invert(np.full(n, value, dtype=_DTYPES[width])).tolist()
     return [limit - value] * n

@@ -76,6 +76,10 @@ def test_from_edges_examples():
         AntidistMatrix.from_edges(2, [(0, 5, 1)], 8)
     with pytest.raises(ValueError, match="weight 300"):
         AntidistMatrix.from_edges(2, [(0, 1, 300)], 8)
+    for cls in (AntidistMatrix, DistMatrix):
+        with pytest.raises(ValueError, match="weight 1.5 is not a whole number"):
+            cls.from_edges(2, [(0, 1, 1.5)], 8)
+    assert AntidistMatrix.from_edges(2, [(0, 1, 2.0)], 8).get(0, 1) == 253  # whole floats pass
 
 
 def test_get_set_bounds():
@@ -100,6 +104,16 @@ def test_lane_entries_must_be_whole_numbers(cls):
         m.set(0, 0, float("nan"))
     m.set(0, 0, 7.0)
     assert m.get(0, 0) == 7
+
+
+@pytest.mark.parametrize("junk", ("1", None))
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_lane_entries_must_be_numbers(cls, junk):
+    with pytest.raises(ValueError, match=f"entry {junk!r} is not a number"):
+        cls.from_lists([[2, junk]], 8)
+    m = cls.from_lists([[2]], 8)
+    with pytest.raises(ValueError, match=f"entry {junk!r} is not a number"):
+        m.set(0, 0, junk)
 
 
 def test_from_lists_names_the_first_bad_entry():

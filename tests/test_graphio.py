@@ -72,3 +72,7 @@ def test_bool_adjacency_sets_each_edge_bit():
     for bad in ((0, 3, 1), (-1, 0, 1)):
         with pytest.raises(IndexError, match="out of range"):
             graphio.bool_adjacency(GraphSpec(3, [bad]))
+    with pytest.raises(IndexError, match="edge end 0.5 is not a vertex index"):
+        graphio.bool_adjacency(GraphSpec(3, [(0.5, 1, 1)]))
+    with pytest.raises(IndexError, match="edge end 1.7 is not a vertex index"):
+        graphio.bool_adjacency(GraphSpec(3, [(0, 1.7, 1)]))

@@ -154,6 +154,27 @@ BINARY_KERNELS = (
 )
 
 
+def _outcome(fn, *args):
+    """repr of the result (so 2.0 and 2 differ), or the exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value", (1.5, float("nan"), 2.0, 2**70, -1, 256, "1", None), ids=repr)
+@pytest.mark.parametrize("op", (*BINARY_KERNELS, kernels.clonenot), ids=lambda op: op.__name__)
+def test_paths_agree_on_odd_lane_values(op, value):
+    args = (value, 8) if op is kernels.clonenot else ([value] * 16, [0] * 16, 8)
+    with kernels.forced_vector():
+        vec = _outcome(op, *args)
+    with kernels.forced_scalar():
+        sca = _outcome(op, *args)
+    assert vec == sca
+    if isinstance(value, (str, type(None))):
+        assert vec == (ValueError, f"entry {value!r} is not a number")
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_vector_equals_scalar_on_random_blocks(width):
     rng = np.random.default_rng(width)
