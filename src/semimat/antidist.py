@@ -35,7 +35,7 @@ that stay in L2.
 import numpy as np
 
 from . import kernels
-from .boolmat import BoolMatrix, _Matrix, _pack_bits, _unpack_bits
+from .boolmat import BoolMatrix, _Matrix, _pack_bits, _unpack_bits, _vertex
 from .scalars import sat_limit
 
 
@@ -84,11 +84,11 @@ class _LaneMatrix(_Matrix):
         return type(self)(self.rows, self.cols, self.width, self._data.copy())
 
     def get(self, i: int, j: int) -> int:
-        self._check_index(i, j)
+        i, j = self._check_index(i, j)
         return int(self._data[i, j])
 
     def set(self, i: int, j: int, value: int) -> None:
-        self._check_index(i, j)
+        i, j = self._check_index(i, j)
         self._data[i, j] = kernels.as_lanes(value, self.width)
 
     def to_lists(self) -> list[list[int]]:
@@ -197,11 +197,16 @@ class AntidistMatrix(_LaneMatrix):
         limit = m.limit
         data = m._data
         for u, v, w in edges:
+            u, v = _vertex(u), _vertex(v)
             if not 0 <= u < dim:
                 raise ValueError(f"source vertex {u} out of range [0, {dim})")
             if not 0 <= v < dim:
                 raise ValueError(f"target vertex {v} out of range [0, {dim})")
-            if not 0 <= w <= limit:
+            try:
+                in_range = 0 <= w <= limit
+            except TypeError:  # a string, None, ...: cheaper than an isinstance per edge
+                raise ValueError(f"weight {w!r} is not a number") from None
+            if not in_range:
                 raise ValueError(f"weight {w} outside [0, {limit}]")
             if w != int(w):
                 raise ValueError(f"weight {w} is not a whole number")

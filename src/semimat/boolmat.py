@@ -5,6 +5,8 @@ at bit position j % 64 (least significant bit first). Bits past the column
 count are padding and stay zero after every operation.
 """
 
+from operator import index
+
 import numpy as np
 
 BLOCK_BITS = 64
@@ -27,6 +29,15 @@ def _unpack_bits(blocks, cols):
     """The (rows, cols) uint8 array of 0/1 entries held in ``blocks``."""
     raw = blocks.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
+
+
+def _vertex(end):
+    """Edge end ``end`` as a Python int; a float or any other non-integer is
+    refused, never truncated."""
+    try:
+        return index(end)
+    except TypeError:
+        raise IndexError(f"edge end {end!r} is not a vertex index") from None
 
 
 class _Matrix:
@@ -52,8 +63,15 @@ class _Matrix:
         return ncols
 
     def _check_index(self, i, j):
+        """``(i, j)`` as Python ints; a non-integer or out-of-range index is
+        refused, never truncated."""
+        try:
+            i, j = index(i), index(j)
+        except TypeError:
+            raise IndexError(f"index ({i!r}, {j!r}) is not a pair of integers") from None
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
+        return i, j
 
     def _check_inner(self, other):
         if self.cols != other.rows:
@@ -140,7 +158,7 @@ class BoolMatrix(_Matrix):
         return view
 
     def get(self, i: int, j: int) -> int:
-        self._check_index(i, j)
+        i, j = self._check_index(i, j)
         return (int(self._blocks[i, j >> 6]) >> (j & 63)) & 1
 
     def _set_bits(self, rows, cols) -> None:
@@ -150,7 +168,7 @@ class BoolMatrix(_Matrix):
         np.bitwise_or.at(self._blocks, (rows, cols >> 6), masks)
 
     def set(self, i: int, j: int, value: int) -> None:
-        self._check_index(i, j)
+        i, j = self._check_index(i, j)
         if value not in (0, 1):
             raise ValueError(f"entry must be 0 or 1, got {value!r}")
         word = int(self._blocks[i, j >> 6])
@@ -200,43 +218,81 @@ class BoolMatrix(_Matrix):
     def __mul__(self, other) -> "BoolMatrix":
         """Semiring product: OR over k of row i of self AND column j of other.
 
-        Computed as a sum of outer products: for every k, row k of the right
-        factor is OR-ed into each output row whose left entry (i, k) is set.
+        Computed as a sum of outer products, eight at a time (the method of
+        Four Russians): for each group of eight k, the 256 unions of the
+        group's rows of the right factor form a table, and each output row
+        ORs in the union its left entries (i, k) in the group select.
         """
         if not isinstance(other, BoolMatrix):
             return NotImplemented
         self._check_inner(other)
         out = BoolMatrix(self.rows, other.cols)
-        _or_sweep(out._blocks, self._blocks, other._blocks)
+        _table_sweep(out._blocks, self._blocks, other._blocks)
         return out
 
     def transitive_closure(self) -> "BoolMatrix":
         """Reachability by one or more edges; diagonal set only for cycles.
 
         The product's sweep run in place over a copy, passed as output and
-        both factors (Warshall's algorithm): for each k, row k is OR-ed into
-        every row whose column-k bit is set, and the updated matrix feeds
-        later steps.
+        both factors (Warshall's algorithm, eight pivots per table lookup):
+        each group of eight pivot rows is first closed under the group's own
+        steps, then the unions of those rows are OR-ed into every row by its
+        bits in the group's columns, and the updated matrix feeds later
+        groups. The result equals Warshall's one-pivot-at-a-time sweep.
         """
         self._check_square()
         t = self._blocks.copy()
-        _or_sweep(t, t, t)
+        _table_sweep(t, t, t)
         return BoolMatrix(self.rows, self.cols, t)
 
     def reflexive_transitive_closure(self) -> "BoolMatrix":
         """Transitive closure joined with the identity (paths of length >= 0)."""
-        return self.transitive_closure() | BoolMatrix.identity(self.rows)
+        closure = self.transitive_closure()
+        closure._set_bits(*np.diag_indices(self.rows))
+        return closure
 
     def __repr__(self):
         return f"<BoolMatrix {self.rows}x{self.cols}>"
 
 
-def _or_sweep(out, left, right):
-    """Outer-product sweep: OR row k of ``right`` into every row of ``out``
-    whose bit k of ``left`` is set, for each k in turn."""
-    one = np.uint64(1)
-    for k in range(right.shape[0]):
-        column = (left[:, k >> 6] >> np.uint64(k & 63)) & one
-        hit = np.nonzero(column)[0]
-        if hit.size:
-            out[hit] |= right[k]
+# Four Russians sweep (Arlazarov, Dinic, Kronrod & Faradzev 1970): the pivots
+# k are taken in byte-aligned groups of _GROUP. The 2**_GROUP unions of the
+# group's rows of ``right`` form a table, and each output row ORs in the one
+# entry that its byte of ``left`` in the group's columns selects: eight outer
+# products per lookup. A closure passes the matrix as all three arrays and
+# first runs Warshall's steps of the group on the pivot rows alone; each
+# closed pivot row then holds what the group's later steps would add to it,
+# so the result equals Warshall's bit for bit. A product never writes
+# ``right``.
+#
+# As in the lane sweep, a group whose byte is nonzero in at least half the
+# rows updates every row in place (a zero byte selects the empty union);
+# sparser groups gather and update only the rows that hit.
+
+_GROUP = 8  # divides 64, so a group's bits lie in one block
+
+
+def _table_sweep(out, left, right):
+    rows = out.shape[0]
+    group_bits = np.uint64((1 << _GROUP) - 1)
+    table = np.zeros((1 << _GROUP, right.shape[1]), dtype=np.uint64)
+    for k0 in range(0, right.shape[0], _GROUP):
+        shift = np.uint64(k0 & 63)
+        pivots = right[k0 : k0 + _GROUP]
+        if out is right:
+            # Warshall's steps on the pivot rows, their group bits read as ints.
+            sub = ((pivots[:, k0 >> 6] >> shift) & group_bits).tolist()
+            for b in range(len(sub)):
+                hit = [p for p, bits in enumerate(sub) if bits >> b & 1]
+                if hit:
+                    pivots[hit] |= pivots[b]
+                    for p in hit:
+                        sub[p] |= sub[b]
+        for b, row in enumerate(pivots):
+            np.bitwise_or(table[: 1 << b], row, out=table[1 << b : 2 << b])
+        byte = (left[:, k0 >> 6] >> shift) & group_bits
+        hit = np.nonzero(byte)[0]
+        if 2 * hit.size >= rows:
+            out |= table[byte]
+        elif hit.size:
+            out[hit] |= table[byte[hit]]

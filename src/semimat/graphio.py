@@ -6,12 +6,11 @@ and edges without a weight get weight 1.
 """
 
 from dataclasses import dataclass, field
-from operator import index
 
 import numpy as np
 
 from .antidist import AntidistMatrix, DistMatrix
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, _vertex
 
 
 class GraphParseError(ValueError):
@@ -80,15 +79,6 @@ def parse_edge_list(text: str) -> GraphSpec:
     if count is None:
         raise GraphParseError("missing 'p <vertex_count>' header")
     return GraphSpec(count, edges, weighted)
-
-
-def _vertex(end):
-    """``end`` as a Python int; a float or any other non-integer is refused,
-    never truncated."""
-    try:
-        return index(end)
-    except TypeError:
-        raise IndexError(f"edge end {end!r} is not a vertex index") from None
 
 
 def bool_adjacency(spec: GraphSpec) -> BoolMatrix:

@@ -93,6 +93,27 @@ def test_get_set_bounds():
 
 
 @pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_lane_index_must_be_an_integer(cls):
+    m = cls.from_lists([[0, 0], [0, 0]], 8)
+    with pytest.raises(IndexError, match=r"index \(0.5, 1\) is not a pair of integers"):
+        m.get(0.5, 1)
+    with pytest.raises(IndexError, match=r"index \(0, 1.5\) is not a pair of integers"):
+        m.set(0, 1.5, 1)
+    m.set(np.int64(0), np.int64(1), 17)
+    assert m.get(np.int64(0), np.int64(1)) == 17
+
+
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_from_edges_ends_must_be_vertex_indices(cls):
+    with pytest.raises(IndexError, match="edge end 0.5 is not a vertex index"):
+        cls.from_edges(2, [(0.5, 1, 1)], 8)
+    with pytest.raises(IndexError, match="edge end 1.0 is not a vertex index"):
+        cls.from_edges(2, [(0, 1.0, 1)], 8)
+    m = cls.from_edges(2, [(np.int64(0), np.int64(1), 3)], 8)
+    assert m == cls.from_edges(2, [(0, 1, 3)], 8)
+
+
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
 def test_lane_entries_must_be_whole_numbers(cls):
     with pytest.raises(ValueError, match="entry 1.5 is not a whole number"):
         cls.from_lists([[1.5, 2.9]], 8)

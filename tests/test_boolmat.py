@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semimat import oracle
 from semimat.boolmat import BoolMatrix
@@ -95,6 +96,16 @@ def test_get_set_roundtrip():
         m.set(0, 70, 1)
     with pytest.raises(ValueError):
         m.set(0, 0, 2)
+
+
+def test_index_must_be_an_integer():
+    m = BoolMatrix.zeros(2, 64)
+    with pytest.raises(IndexError, match=r"index \(0, 1.5\) is not a pair of integers"):
+        m.set(0, 1.5, 1)
+    with pytest.raises(IndexError, match=r"index \(0, 1.5\) is not a pair of integers"):
+        m.get(0, 1.5)
+    m.set(np.int64(1), np.int64(63), 1)  # whole numpy integers stay accepted
+    assert m.get(np.int64(1), np.int64(63)) == 1 == m.get(1, 63)
 
 
 def test_set_leaves_other_bits_alone():
@@ -233,3 +244,138 @@ def test_padding_clear_after_every_operation():
     for m in (a | b, a & b, a ^ b, ~a, a * b, a.transitive_closure(),
               a.reflexive_transitive_closure()):
         assert_padding_clear(m)
+
+
+# -- the Four Russians sweep ----------------------------------------------
+#
+# BoolMatrix has no scalar path, so the sweep is checked against BFS, the
+# definition of the product and the two closure oracles, at sizes on both
+# sides of the 8-pivot groups and the 64-bit blocks.
+
+ODD_SIZES = (1, 7, 9, 63, 65, 129)
+
+
+def reachable_by_bfs(n, edges):
+    """Rows of the closure: vertices a walk of one or more edges reaches."""
+    succ = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[u].append(v)
+    rows = []
+    for s in range(n):
+        seen = [0] * n
+        todo = list(succ[s])
+        while todo:
+            v = todo.pop()
+            if not seen[v]:
+                seen[v] = 1
+                todo.extend(succ[v])
+        rows.append(seen)
+    return rows
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.one_of(st.sampled_from(ODD_SIZES), st.integers(1, 200)))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end), max_size=3 * n))
+    return n, edges
+
+
+@settings(max_examples=120, deadline=None)
+@given(digraphs())
+def test_closure_against_bfs(graph):
+    n, edges = graph
+    m = BoolMatrix.zeros(n, n)
+    for u, v in edges:
+        m.set(u, v, 1)
+    got = m.transitive_closure()
+    assert got.to_lists() == reachable_by_bfs(n, edges)
+    assert_padding_clear(got)
+
+
+@pytest.mark.parametrize(
+    "rows, inner, cols",
+    [(1, 1, 1), (3, 13, 70), (70, 9, 5), (130, 63, 2), (1, 17, 1), (65, 129, 33), (9, 7, 65)],
+)
+@pytest.mark.parametrize("density", (0.03, 0.3, 0.8))
+def test_mul_against_definition_across_groups(rows, inner, cols, density):
+    rng = random.Random(f"{rows}-{inner}-{cols}-{density}")
+    a = random_bool_lists(rng, rows, inner, density)
+    b = random_bool_lists(rng, inner, cols, density)
+    got = BoolMatrix.from_lists(a) * BoolMatrix.from_lists(b)
+    assert got.to_lists() == oracle.naive_bool_mul(a, b)
+    assert_padding_clear(got)
+
+
+def test_closure_against_both_oracles():
+    rng = random.Random(13)
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        grid = random_bool_lists(rng, dim, dim, rng.uniform(0.1, 0.6))
+        got = BoolMatrix.from_lists(grid).transitive_closure().to_lists()
+        assert got == oracle.enumerate_paths_closure(grid)
+        assert got == oracle.closure_by_squaring(grid)
+    for dim in (7, 9, 15, 16, 17, 23):
+        for density in (0.05, 0.15, 0.4):
+            grid = random_bool_lists(rng, dim, dim, density)
+            got = BoolMatrix.from_lists(grid).transitive_closure().to_lists()
+            assert got == oracle.closure_by_squaring(grid)
+
+
+@pytest.fixture
+def table_lookups():
+    """An ndarray subclass for a closure's blocks, and the row counts of the
+    table lookups OR-ed into them: every row on the in-place branch, the rows
+    with a nonzero byte on the gather branch."""
+    counts = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+            if ufunc is np.bitwise_or and all(np.ndim(x) == 2 for x in inputs):
+                counts.append(len(inputs[0]))
+            inputs = [np.asarray(x) for x in inputs]
+            if not out:
+                return getattr(ufunc, method)(*inputs, **kwargs)
+            getattr(ufunc, method)(*inputs, out=tuple(np.asarray(x) for x in out), **kwargs)
+            return out[0]  # in-place operators rebind to this: keep the spy
+
+    return Spy, counts
+
+
+def spied(m, spy):
+    return BoolMatrix(m.rows, m.cols, m.blocks.copy().view(spy))
+
+
+@pytest.mark.parametrize("sources, lookups", [(24, [48]), (23, [23])])
+def test_closure_branch_at_half_the_rows(table_lookups, sources, lookups):
+    spy, counts = table_lookups
+    m = BoolMatrix.zeros(48, 48)
+    for r in range(sources):  # edges into the sinks 40..47 only: one lookup
+        m.set(r, 40 + r % 8, 1)
+    assert spied(m, spy).transitive_closure() == m
+    assert counts == lookups
+
+
+def test_sparse_closure_gathers_dense_closure_updates_in_place(table_lookups):
+    spy, counts = table_lookups
+    n = 100
+    chain = BoolMatrix.zeros(n, n)
+    for v in range(20):
+        chain.set(v, v + 1, 1)
+    assert spied(chain, spy).transitive_closure() == chain.transitive_closure()
+    assert counts and all(2 * c < n for c in counts)
+    counts.clear()
+    dense = BoolMatrix.from_lists(random_bool_lists(random.Random(14), n, n, 0.5))
+    assert spied(dense, spy).transitive_closure() == dense.transitive_closure()
+    assert counts == [n] * (n // 8 + 1)
+
+
+def test_product_leaves_its_factors_alone():
+    rng = random.Random(15)
+    chain = [[int(c == r + 1) for c in range(20)] for r in range(20)]  # closure would grow it
+    a = BoolMatrix.from_lists(chain)
+    assert (a * a).to_lists() == oracle.naive_bool_mul(chain, chain)
+    assert a.to_lists() == chain
+    left = random_bool_lists(rng, 11, 20, 0.3)
+    assert (BoolMatrix.from_lists(left) * a).to_lists() == oracle.naive_bool_mul(left, chain)
+    assert a.to_lists() == chain

@@ -76,3 +76,10 @@ def test_bool_adjacency_sets_each_edge_bit():
         graphio.bool_adjacency(GraphSpec(3, [(0.5, 1, 1)]))
     with pytest.raises(IndexError, match="edge end 1.7 is not a vertex index"):
         graphio.bool_adjacency(GraphSpec(3, [(0, 1.7, 1)]))
+
+
+def test_weight_must_be_a_number():
+    with pytest.raises(ValueError, match="weight '2' is not a number"):
+        graphio.antidist_adjacency(GraphSpec(3, [(0, 1, '2')]))
+    with pytest.raises(ValueError, match="weight None is not a number"):
+        graphio.dist_adjacency(GraphSpec(3, [(0, 1, None)]))
