@@ -15,9 +15,9 @@ Because complementing turns min-plus into max-plus, the distance product,
 closure and adjacency builder are the anti-distance ones run on complemented
 storage; min-plus has no engine of its own.
 
-Rows are padded to a whole number of 128-bit blocks. Padding columns hold
-each class's additive identity (0 for anti-distance, S for distance) and are
-restored after every operation.
+A matrix stores exactly rows x cols lanes in one row-major numpy array.
+numpy's ufuncs take rows of any length, so the 128-bit block stays a rule of
+the lane ops in :mod:`semimat.kernels` and never shapes the storage.
 
 Matrix products and closures dispatch between the numpy vector path and the
 pure-Python scalar path exactly like :mod:`semimat.kernels`, reading the
@@ -44,23 +44,19 @@ class _LaneMatrix(_Matrix):
 
     __slots__ = ("width", "_data")
 
-    _PAD_IS_LIMIT = False
+    _EMPTY_IS_LIMIT = False  # a matrix built without data is all S, else all 0
 
     def __init__(self, rows: int, cols: int, width: int = 8, _data=None):
         super().__init__(rows, cols)
         dtype = kernels.dtype_for(width)
-        lanes = kernels.lane_count(width)
-        padded = -(-cols // lanes) * lanes
         self.width = width
         if _data is None:
-            _data = np.full((rows, padded), self._pad_fill(width), dtype=dtype)
-        elif _data.shape != (rows, padded) or _data.dtype != dtype:
-            raise ValueError("backing array does not match the padded shape")
+            _data = np.full((rows, cols), sat_limit(width) if self._EMPTY_IS_LIMIT else 0, dtype)
+        elif _data.shape != (rows, cols) or _data.dtype != dtype:
+            raise ValueError(
+                f"backing array {_data.shape} {_data.dtype} is not {rows}x{cols} {np.dtype(dtype)}"
+            )
         self._data = _data
-
-    @classmethod
-    def _pad_fill(cls, width):
-        return sat_limit(width) if cls._PAD_IS_LIMIT else 0
 
     # -- basics ----------------------------------------------------------
 
@@ -70,12 +66,8 @@ class _LaneMatrix(_Matrix):
         return sat_limit(self.width)
 
     @property
-    def padded_cols(self) -> int:
-        return self._data.shape[1]
-
-    @property
     def data(self):
-        """Raw lane storage including padding columns, as a read-only view."""
+        """Raw lane storage, a (rows, cols) array, as a read-only view."""
         view = self._data.view()
         view.flags.writeable = False
         return view
@@ -92,20 +84,14 @@ class _LaneMatrix(_Matrix):
         self._data[i, j] = kernels.as_lanes(value, self.width)
 
     def to_lists(self) -> list[list[int]]:
-        return self._data[:, : self.cols].tolist()
+        return self._data.tolist()
 
     @classmethod
     def from_lists(cls, rows, width: int = 8):
         """Matrix of a rectangular 2-D array-like (nested lists or an array)
         of whole numbers in [0, S]."""
         ncols = cls._row_length(rows)
-        m = cls(len(rows), ncols, width)
-        m._data[:, :ncols] = kernels.as_lanes(rows, width)
-        return m
-
-    def _fix_padding(self):
-        if self.padded_cols != self.cols:
-            self._data[:, self.cols:] = self._pad_fill(self.width)
+        return cls(len(rows), ncols, width, kernels.as_lanes(rows, width))
 
     # -- entrywise algebra -------------------------------------------------
 
@@ -122,9 +108,7 @@ class _LaneMatrix(_Matrix):
         else:
             flat = py_op(self._data.reshape(-1).tolist(), other._data.reshape(-1).tolist())
             data = np.array(flat, dtype=self._data.dtype).reshape(self._data.shape)
-        out = type(self)(self.rows, self.cols, self.width, data)
-        out._fix_padding()
-        return out
+        return type(self)(self.rows, self.cols, self.width, data)
 
     def __and__(self, other):
         """Lanewise minimum."""
@@ -145,8 +129,7 @@ class _LaneMatrix(_Matrix):
     def _flip(self):
         """Complement the storage in place and return it wrapped as the other
         class. The receiver shares that storage, so it holds the complement
-        until the result is flipped back. Padding columns swap fills along
-        with the classes, so they stay valid."""
+        until the result is flipped back."""
         np.subtract(self.limit, self._data, out=self._data)
         cls = DistMatrix if isinstance(self, AntidistMatrix) else AntidistMatrix
         return cls(self.rows, self.cols, self.width, self._data)
@@ -218,14 +201,12 @@ class AntidistMatrix(_LaneMatrix):
     @classmethod
     def from_boolmat(cls, mat: BoolMatrix, width: int = 8) -> "AntidistMatrix":
         """Lift a Boolean matrix: 1 becomes distance zero (value S), 0 stays 0."""
-        m = cls(mat.rows, mat.cols, width)
-        bits = _unpack_bits(mat.blocks, mat.cols).astype(m._data.dtype)
-        m._data[:, : m.cols] = bits * m.limit
-        return m
+        bits = _unpack_bits(mat.blocks, mat.cols).astype(kernels.dtype_for(width))
+        return cls(mat.rows, mat.cols, width, bits * sat_limit(width))
 
     def to_boolmat(self) -> BoolMatrix:
         """Reachability structure: any finite distance becomes 1."""
-        return BoolMatrix(self.rows, self.cols, _pack_bits(self._data[:, : self.cols] > 0))
+        return BoolMatrix(self.rows, self.cols, _pack_bits(self._data > 0))
 
     def __mul__(self, other) -> "AntidistMatrix":
         """Semiring product: entry (i, j) is the best saturated sum over k.
@@ -238,7 +219,7 @@ class AntidistMatrix(_LaneMatrix):
         if not isinstance(other, AntidistMatrix):
             return NotImplemented
         self._check_factor(other)
-        data = np.zeros((self.rows, other.padded_cols), dtype=self._data.dtype)
+        data = np.zeros((self.rows, other.cols), dtype=self._data.dtype)
         if kernels.use_vector():
             _maxplus_sweep(data, self._data, other._data, self.limit)
         else:
@@ -273,7 +254,7 @@ class AntidistMatrix(_LaneMatrix):
 class DistMatrix(_LaneMatrix):
     """Matrix of plain distances; the complement view of AntidistMatrix."""
 
-    _PAD_IS_LIMIT = True
+    _EMPTY_IS_LIMIT = True
 
     @classmethod
     def unreachable(cls, rows: int, cols: int, width: int = 8) -> "DistMatrix":
@@ -327,7 +308,7 @@ class DistMatrix(_LaneMatrix):
 # -- compute engines ---------------------------------------------------------
 #
 # There are two engines, both the max-plus sweep (out, left, right, limit):
-# a vector form (numpy, whole padded rows at a time) and a scalar form
+# a vector form (numpy, whole rows at a time) and a scalar form
 # (per-lane Python arithmetic on plain lists). They must stay bit-identical;
 # the benchmark checks that on every run. Min-plus runs through them on
 # complemented storage.

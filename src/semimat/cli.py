@@ -150,7 +150,7 @@ def cmd_bench(args) -> int:
     if args.size < 1:
         raise ValueError(f"size must be positive, got {args.size}")
     if not kernels.use_vector():
-        # Forced scalar or no SIMD baseline: nothing to compare against.
+        # Pinned to scalar: nothing to compare against.
         print("bench note: vector path unavailable, reporting scalar only")
         with kernels.forced_scalar():
             _, report = _bench_run(args.op, args.size, args.width, args.seed)

@@ -87,8 +87,10 @@ def bool_adjacency(spec: GraphSpec) -> BoolMatrix:
     ends = np.fromiter(
         (_vertex(x) for u, v, _ in spec.edges for x in (u, v)), np.intp, 2 * len(spec.edges)
     )
-    if ends.size and (ends.min() < 0 or ends.max() >= spec.vertex_count):
-        raise IndexError(f"edge endpoint out of range for {spec.vertex_count} vertices")
+    bad = np.flatnonzero((ends < 0) | (ends >= spec.vertex_count))
+    if bad.size:
+        end = "target" if bad[0] % 2 else "source"
+        raise ValueError(f"{end} vertex {ends[bad[0]]} out of range [0, {spec.vertex_count})")
     m._set_bits(ends[0::2], ends[1::2])
     return m
 

@@ -1,20 +1,22 @@
 """Saturating lane kernels on 128-bit blocks, with a pure-Python fallback.
 
 A block is 128 bits split into equal unsigned lanes: 16 lanes of 8 bits,
-8 of 16, or 4 of 32. The public functions accept flat sequences whose length
-is any multiple of the block's lane count (a padded matrix row is just
-several blocks) and always return plain lists, so the two execution paths
-can be compared verbatim.
+8 of 16, or 4 of 32. The public lane ops accept flat sequences whose length
+is any multiple of the block's lane count and always return plain lists, so
+the two execution paths can be compared verbatim. The block is a rule of
+these ops alone: the matrix types store exactly rows x cols lanes, and the
+array-level ``np_*`` forms they share take arrays of any shape.
 
-Path selection: numpy's vectorised ufunc loops act as the 128-bit engine on
-machines whose baseline ISA guarantees integer SIMD. Setting the environment
-variable ``SEMIMAT_FORCE_SCALAR`` to anything other than "" or "0" pins the
-per-lane Python implementation instead, and :func:`forced_scalar` /
-:func:`forced_vector` pin the choice for a code region. The pin lives in a
-:class:`contextvars.ContextVar`, so it holds for the thread (or asyncio task)
-that set it and never flips the path of another. Each operation reads
-:func:`use_vector` once and runs wholly on the path it got. The test suite
-and the benchmark rely on both paths producing bit-identical results.
+Path selection: numpy's vectorised ufunc loops are the vector engine, and
+they are exact on every machine, so the vector path is the default
+everywhere. Setting the environment variable ``SEMIMAT_FORCE_SCALAR`` to
+anything other than "" or "0" pins the per-lane Python implementation
+instead, and :func:`forced_scalar` / :func:`forced_vector` pin the choice
+for a code region. The pin lives in a :class:`contextvars.ContextVar`, so it
+holds for the thread (or asyncio task) that set it and never flips the path
+of another. Each operation reads :func:`use_vector` once and runs wholly on
+the path it got. The test suite and the benchmark rely on both paths
+producing bit-identical results.
 
 numpy has no saturating integer ufuncs, so the vector path uses the
 branch-free rewrites ``max(a, b) - b`` for saturating subtraction and
@@ -33,7 +35,6 @@ a value in silence.
 
 import numbers
 import os
-import platform
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -45,7 +46,6 @@ BLOCK_BITS = 128
 FORCE_SCALAR_ENV = "SEMIMAT_FORCE_SCALAR"
 
 _DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
-_SIMD_MACHINES = {"x86_64", "amd64", "i386", "i686", "aarch64", "arm64", "ppc64le"}
 
 _forced = ContextVar("semimat_forced_path", default=None)  # None, "scalar" or "vector"
 
@@ -62,19 +62,12 @@ def dtype_for(width: int):
     return _DTYPES[width]
 
 
-def vector_supported() -> bool:
-    """True when this machine's baseline ISA includes 128-bit integer SIMD."""
-    return platform.machine().lower() in _SIMD_MACHINES
-
-
 def use_vector() -> bool:
     """Whether the next kernel call takes the vector path."""
     forced = _forced.get()
     if forced is not None:
         return forced == "vector"
-    if os.environ.get(FORCE_SCALAR_ENV, "0") not in ("", "0"):
-        return False
-    return vector_supported()
+    return os.environ.get(FORCE_SCALAR_ENV, "0") in ("", "0")
 
 
 @contextmanager
@@ -117,7 +110,7 @@ def as_lanes(values, width: int):
     bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
     if bad.any():
         raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
-    lanes = entries.astype(_DTYPES[width])
+    lanes = entries.astype(_DTYPES[width], order="C")
     bad = lanes != entries
     if bad.any():
         raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} is not a whole number")

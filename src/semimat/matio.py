@@ -139,7 +139,7 @@ def to_binary(m) -> bytes:
     if isinstance(m, (AntidistMatrix, DistMatrix)):
         tag = _TYPE_ANTIDIST if isinstance(m, AntidistMatrix) else _TYPE_DIST
         header = _HEADER.pack(MAGIC, tag, m.width, m.rows, m.cols)
-        entries = m.data[:, : m.cols].astype(_LANE_DTYPES[m.width], copy=False)
+        entries = m.data.astype(_LANE_DTYPES[m.width], copy=False)
         return header + entries.tobytes()
     raise TypeError(f"cannot serialize {type(m).__name__}")
 

@@ -36,10 +36,8 @@ def random_digraph(rng, max_dim=24):
     return dim, edges
 
 
-def assert_padding(m):
-    if m.padded_cols != m.cols:
-        fill = m.limit if isinstance(m, DistMatrix) else 0
-        assert (np.asarray(m.data)[:, m.cols:] == fill).all()
+def assert_no_padding(m):
+    assert m.data.shape == (m.rows, m.cols)
 
 
 # -- construction -------------------------------------------------------------
@@ -185,8 +183,8 @@ def test_entrywise_scalar_path_matches(width):
         sca = [(a | b), (a & b), (a ^ b), ~a]
     for x, y in zip(vec, sca):
         assert x == y
-        assert_padding(x)
-        assert_padding(y)
+        assert_no_padding(x)
+        assert_no_padding(y)
 
 
 def test_operations_read_the_path_once(monkeypatch):
@@ -213,8 +211,37 @@ def test_dist_padding_restored_after_xor():
     a = DistMatrix.unreachable(2, 17, 8)
     b = DistMatrix.unreachable(2, 17, 8)
     x = a ^ b
-    assert_padding(x)
+    assert_no_padding(x)
     assert x.to_lists() == [[0] * 17] * 2
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+@pytest.mark.parametrize("rows, cols", [(3, 17), (5, 9), (1, 1), (2, 33)])
+def test_storage_is_exactly_rows_by_cols(width, cls, rows, cols):
+    rng = random.Random(f"storage-{width}-{rows}-{cols}")
+    limit = sat_limit(width)
+    a = cls.from_lists(random_values(rng, rows, cols, limit), width)
+    b = cls.from_lists(random_values(rng, rows, cols, limit), width)
+    tall = cls.from_lists(random_values(rng, cols, rows, limit), width)
+    square = cls.from_lists(random_values(rng, cols, cols, limit), width)
+    bits = BoolMatrix.from_lists([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+    empty = AntidistMatrix.zeros if cls is AntidistMatrix else DistMatrix.unreachable
+    built = [
+        cls(rows, cols, width), a, empty(rows, cols, width), cls.identity(cols, width),
+        AntidistMatrix.from_boolmat(bits, width), ~AntidistMatrix.from_boolmat(bits, width),
+        a | b, a & b, a ^ b, ~a, a * tall, tall * a,
+    ]
+    for forced in (kernels.forced_vector, kernels.forced_scalar):
+        with forced():
+            inplace = square.copy()
+            inplace.transitive_close()
+            built += [a | b, a ^ b, a * tall, square.transitive_closure(), inplace]
+    for m in built:
+        assert_no_padding(m)
+    # the sweeps walk rows: a column-major input must not become row-strided storage
+    fortran = np.asfortranarray(np.asarray(a.data))
+    assert cls.from_lists(fortran, width).data.flags.c_contiguous
 
 
 # -- product -------------------------------------------------------------------
@@ -243,7 +270,7 @@ def test_mul_against_oracle(width):
         b = random_values(rng, inner, cols, limit)
         got = AntidistMatrix.from_lists(a, width) * AntidistMatrix.from_lists(b, width)
         assert got.to_lists() == oracle.naive_antidist_mul(a, b, limit)
-        assert_padding(got)
+        assert_no_padding(got)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -427,8 +454,8 @@ def test_minplus_against_definition(width):
             got_product, got_closure = a * b, c.transitive_closure()
         assert got_product == product
         assert got_closure == closure
-        assert_padding(got_product)
-        assert_padding(got_closure)
+        assert_no_padding(got_product)
+        assert_no_padding(got_closure)
 
 
 def test_dist_closure_runs_in_place():
@@ -572,7 +599,7 @@ def test_vector_product_across_tiles_and_branches(width, cls, small_tiles, monke
     assert len(gathers) == sum(1 for h in hits if 0 < 2 * h < rows)
     assert any(2 * h >= rows for h in hits)
     assert got == want
-    assert_padding(got)
+    assert_no_padding(got)
     assert_ragged(small_tiles)
     with kernels.forced_scalar():
         assert a * b == want
@@ -597,7 +624,7 @@ def test_vector_closure_across_tiles_and_branches(width, cls, small_tiles):
     inplace.transitive_close()
     assert m.transitive_closure() == want
     assert inplace == want
-    assert_padding(inplace)
+    assert_no_padding(inplace)
     assert_ragged(small_tiles)
     with kernels.forced_scalar():
         assert m.transitive_closure() == want

@@ -69,13 +69,27 @@ def test_bool_adjacency_sets_each_edge_bit():
         want.set(u, v, 1)
     assert got == want
     assert graphio.bool_adjacency(GraphSpec(3)) == BoolMatrix.zeros(3, 3)
-    for bad in ((0, 3, 1), (-1, 0, 1)):
-        with pytest.raises(IndexError, match="out of range"):
+    for bad, message in (((0, 3, 1), r"target vertex 3 out of range \[0, 3\)"),
+                         ((-1, 0, 1), r"source vertex -1 out of range \[0, 3\)")):
+        with pytest.raises(ValueError, match=message):
             graphio.bool_adjacency(GraphSpec(3, [bad]))
     with pytest.raises(IndexError, match="edge end 0.5 is not a vertex index"):
         graphio.bool_adjacency(GraphSpec(3, [(0.5, 1, 1)]))
     with pytest.raises(IndexError, match="edge end 1.7 is not a vertex index"):
         graphio.bool_adjacency(GraphSpec(3, [(0, 1.7, 1)]))
+
+
+@pytest.mark.parametrize(
+    "edges", [[(0, 3, 1)], [(-1, 0, 1)], [(0, 1, 1), (4, -2, 1)], [(1, 2, 1), (2, 9, 1), (7, 0, 1)]]
+)
+def test_builders_name_the_same_out_of_range_end(edges):
+    spec = GraphSpec(3, edges)
+    messages = set()
+    for build in (graphio.bool_adjacency, graphio.antidist_adjacency, graphio.dist_adjacency):
+        with pytest.raises(ValueError, match="out of range") as err:
+            build(spec)
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_weight_must_be_a_number():

@@ -116,6 +116,17 @@ def test_format_text_golden():
     assert matio.parse_text(matio.format_text(d)) == d
 
 
+def test_to_binary_golden():
+    # 3 columns of 16-bit lanes: any padding to a whole 128-bit block would show
+    d = DistMatrix.from_lists([[0, 7, 65535], [65535, 0, 7]], 16)
+    assert matio.to_binary(d) == (
+        b"SRMAT1D\x10\x02\x00\x00\x00\x03\x00\x00\x00"
+        b"\x00\x00\x07\x00\xff\xff"
+        b"\xff\xff\x00\x00\x07\x00"
+    )
+    assert matio.from_binary(matio.to_binary(d)) == d
+
+
 def test_parse_text_accepts_signs_and_whitespace():
     m = matio.parse_text("antidist 8 2 3\n  +1\t2   3 \n0 -0 255\n")
     assert m == AntidistMatrix.from_lists([[1, 2, 3], [0, 0, 255]], 8)
