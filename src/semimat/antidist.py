@@ -35,7 +35,7 @@ that stay in L2.
 import numpy as np
 
 from . import kernels
-from .boolmat import BoolMatrix, _Matrix, _pack_bits, _unpack_bits, _vertex
+from .boolmat import BoolMatrix, _Matrix, _edge_table, _pack_bits, _unpack_bits
 from .scalars import sat_limit
 
 
@@ -51,8 +51,9 @@ class _LaneMatrix(_Matrix):
         dtype = kernels.dtype_for(width)
         self.width = width
         if _data is None:
-            _data = np.full((rows, cols), sat_limit(width) if self._EMPTY_IS_LIMIT else 0, dtype)
-        elif _data.shape != (rows, cols) or _data.dtype != dtype:
+            fill = self.limit if self._EMPTY_IS_LIMIT else 0
+            _data = np.full((self.rows, self.cols), fill, dtype)
+        elif _data.shape != (self.rows, self.cols) or _data.dtype != dtype:
             raise ValueError(
                 f"backing array {_data.shape} {_data.dtype} is not {rows}x{cols} {np.dtype(dtype)}"
             )
@@ -91,7 +92,10 @@ class _LaneMatrix(_Matrix):
         """Matrix of a rectangular 2-D array-like (nested lists or an array)
         of whole numbers in [0, S]."""
         ncols = cls._row_length(rows)
-        return cls(len(rows), ncols, width, kernels.as_lanes(rows, width))
+        lanes = kernels.as_lanes(rows, width)
+        if lanes.ndim != 2:  # every entry is a sequence, all of one shape
+            raise ValueError(f"entry {rows[0][0]!r} is not a number")
+        return cls(len(rows), ncols, width, lanes)
 
     # -- entrywise algebra -------------------------------------------------
 
@@ -171,31 +175,16 @@ class AntidistMatrix(_LaneMatrix):
 
     @classmethod
     def from_edges(cls, dim: int, edges, width: int = 8) -> "AntidistMatrix":
-        """Adjacency matrix of weighted directed edges (u, v, w).
+        """Adjacency matrix of weighted directed edges (u, v, w), given as a
+        list, an iterator or an (m, 3) array.
 
         Weights must be whole numbers in [0, S]. Parallel edges keep the
         shortest distance, i.e. the largest encoded value.
         """
         m = cls(dim, dim, width)
-        limit = m.limit
-        data = m._data
-        for u, v, w in edges:
-            u, v = _vertex(u), _vertex(v)
-            if not 0 <= u < dim:
-                raise ValueError(f"source vertex {u} out of range [0, {dim})")
-            if not 0 <= v < dim:
-                raise ValueError(f"target vertex {v} out of range [0, {dim})")
-            try:
-                in_range = 0 <= w <= limit
-            except TypeError:  # a string, None, ...: cheaper than an isinstance per edge
-                raise ValueError(f"weight {w!r} is not a number") from None
-            if not in_range:
-                raise ValueError(f"weight {w} outside [0, {limit}]")
-            if w != int(w):
-                raise ValueError(f"weight {w} is not a whole number")
-            value = limit - w
-            if value > int(data[u, v]):
-                data[u, v] = value
+        ends, weights = _edge_table(dim, edges)
+        lanes = kernels.as_lanes(weights, width, "weight")
+        np.maximum.at(m._data.reshape(-1), ends[:, 0] * dim + ends[:, 1], m.limit - lanes)
         return m
 
     @classmethod

@@ -31,13 +31,40 @@ def _unpack_bits(blocks, cols):
     return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
 
 
-def _vertex(end):
-    """Edge end ``end`` as a Python int; a float or any other non-integer is
-    refused, never truncated."""
+def _edge_table(dim: int, edges):
+    """The edges (u, v, w) of a graph on ``dim`` vertices, given as a list,
+    an iterator or an (m, 3) array, as their ends (an (m, 2) intp array) and
+    their weight column.
+
+    An end must be an integer in [0, dim). A float or any other non-integer
+    end raises ``IndexError`` (it is never truncated), and ``ValueError``
+    names the first end out of range, in edge order. Weights pass unchecked.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
     try:
-        return index(end)
-    except TypeError:
-        raise IndexError(f"edge end {end!r} is not a vertex index") from None
+        # numpy reads an empty list as a float array of shape (0,)
+        table = np.asarray(edges) if len(edges) else np.empty((0, 3), np.intp)
+    except ValueError:  # ragged: some entry is a sequence
+        table = None
+    if table is None or table.dtype.kind not in "iu":
+        # A float, a string or an int wider than 64 bits: the object table
+        # keeps each end as given, so that a float is refused, not truncated.
+        table = np.asarray(edges, dtype=object)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError("edges must be (u, v, w) triples")
+    ends = table[:, :2]
+    if ends.dtype == object:
+        for end in ends.ravel().tolist():
+            try:
+                index(end)
+            except TypeError:
+                raise IndexError(f"edge end {end!r} is not a vertex index") from None
+    bad = np.flatnonzero((ends < 0) | (ends >= dim))
+    if bad.size:
+        end = "target" if bad[0] % 2 else "source"
+        raise ValueError(f"{end} vertex {ends.flat[bad[0]]} out of range [0, {dim})")
+    return ends.astype(np.intp), table[:, 2]
 
 
 class _Matrix:
@@ -46,10 +73,12 @@ class _Matrix:
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
+        try:
+            self.rows, self.cols = index(rows), index(cols)
+        except TypeError:
+            self.rows = self.cols = 0  # refused below
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"matrix dimensions must be positive integers, got {rows!r}x{cols!r}")
 
     @staticmethod
     def _row_length(rows) -> int:
@@ -102,8 +131,8 @@ class BoolMatrix(_Matrix):
     def __init__(self, rows: int, cols: int, _blocks=None):
         super().__init__(rows, cols)
         if _blocks is None:
-            _blocks = np.zeros((rows, _block_count(cols)), dtype=np.uint64)
-        elif _blocks.shape != (rows, _block_count(cols)) or _blocks.dtype != np.uint64:
+            _blocks = np.zeros((self.rows, _block_count(self.cols)), dtype=np.uint64)
+        elif _blocks.shape != (self.rows, _block_count(self.cols)) or _blocks.dtype != np.uint64:
             raise ValueError("backing array does not match the blocked shape")
         self._blocks = _blocks
 
@@ -162,8 +191,7 @@ class BoolMatrix(_Matrix):
         return (int(self._blocks[i, j >> 6]) >> (j & 63)) & 1
 
     def _set_bits(self, rows, cols) -> None:
-        """Set the bits at the index arrays (rows, cols), repeats allowed."""
-        cols = np.asarray(cols, dtype=np.intp)
+        """Set the bits at the intp index arrays (rows, cols), repeats allowed."""
         masks = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
         np.bitwise_or.at(self._blocks, (rows, cols >> 6), masks)
 

@@ -75,22 +75,24 @@ def cmd_closure(args) -> int:
         raise ValueError("--bool and --dist are mutually exclusive")
     if args.reflexive and not args.as_bool:
         raise ValueError("--reflexive is only valid with --bool")
-    spec = graphio.parse_edge_list(Path(args.graph).read_text())
-    if args.as_bool:
-        adjacency = graphio.bool_adjacency(spec)
-        result = (
-            adjacency.reflexive_transitive_closure()
-            if args.reflexive
-            else adjacency.transitive_closure()
-        )
+    # Both keep the peak RSS down: _adjacency frees the parsed edge list
+    # before the sweep, and the adjacency is a temporary, never held across
+    # _emit.
+    if args.reflexive:
+        result = _adjacency(args).reflexive_transitive_closure()
     else:
-        width = args.width if args.width is not None else 8
-        if args.dist:
-            result = graphio.dist_adjacency(spec, width).transitive_closure()
-        else:
-            result = graphio.antidist_adjacency(spec, width).transitive_closure()
+        result = _adjacency(args).transitive_closure()
     _emit(result, args.output, args.binary)
     return 0
+
+
+def _adjacency(args):
+    """Adjacency matrix of the graph file, as the closure options ask."""
+    spec = graphio.parse_edge_list(Path(args.graph).read_text())
+    if args.as_bool:
+        return graphio.bool_adjacency(spec)
+    build = graphio.dist_adjacency if args.dist else graphio.antidist_adjacency
+    return build(spec, args.width or 8)
 
 
 def cmd_multiply(args) -> int:

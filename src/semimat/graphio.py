@@ -7,10 +7,8 @@ and edges without a weight get weight 1.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .antidist import AntidistMatrix, DistMatrix
-from .boolmat import BoolMatrix, _vertex
+from .boolmat import BoolMatrix, _edge_table
 
 
 class GraphParseError(ValueError):
@@ -84,14 +82,8 @@ def parse_edge_list(text: str) -> GraphSpec:
 def bool_adjacency(spec: GraphSpec) -> BoolMatrix:
     """Unweighted adjacency matrix: a set bit per edge."""
     m = BoolMatrix(spec.vertex_count, spec.vertex_count)
-    ends = np.fromiter(
-        (_vertex(x) for u, v, _ in spec.edges for x in (u, v)), np.intp, 2 * len(spec.edges)
-    )
-    bad = np.flatnonzero((ends < 0) | (ends >= spec.vertex_count))
-    if bad.size:
-        end = "target" if bad[0] % 2 else "source"
-        raise ValueError(f"{end} vertex {ends[bad[0]]} out of range [0, {spec.vertex_count})")
-    m._set_bits(ends[0::2], ends[1::2])
+    ends, _ = _edge_table(spec.vertex_count, spec.edges)
+    m._set_bits(ends[:, 0], ends[:, 1])
     return m
 
 

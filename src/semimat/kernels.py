@@ -28,9 +28,9 @@ two sides independent of each other.
 One lane rule serves both paths: a lane holds a whole number in [0, S].
 :func:`as_lanes` is the only check of it, and every value that becomes a
 lane goes through it before the path is taken (the lane ops, :func:`clonenot`,
-and the matrix types' ``from_lists`` and ``set``), so the two paths refuse
-exactly the same inputs with the same message and never round, wrap or cast
-a value in silence.
+the matrix types' ``from_lists`` and ``set``, and the weights of
+``from_edges``), so the two paths refuse exactly the same inputs with the
+same message and never round, wrap or cast a value in silence.
 """
 
 import numbers
@@ -91,29 +91,33 @@ def forced_vector():
     return _forced_path("vector")
 
 
-def as_lanes(values, width: int):
+def as_lanes(values, width: int, noun: str = "entry"):
     """``values`` (a number or an array-like of any shape) as an array of the
     lane dtype for ``width``.
 
     Every entry must be a whole number in [0, S]; otherwise ``ValueError``
     names the first entry, in row-major order, of the first rule it breaks:
     ``entry v is not a number``, ``entry v outside [0, S]`` (NaN included)
-    or ``entry v is not a whole number``. Whole floats such as 2.0 pass.
+    or ``entry v is not a whole number``, with ``noun`` in place of "entry".
+    Whole floats such as 2.0 pass.
     """
-    entries = np.asarray(values)
+    try:
+        entries = np.asarray(values)
+    except ValueError:  # ragged nesting: some entry is a sequence
+        entries = np.asarray(values, dtype=object)
     if entries.dtype.kind not in "biuf":  # strings, None, ints wider than int64, ...
         # numpy turns [2, "1"] into two strings; an object array keeps the 2.
         for v in np.asarray(values, dtype=object).ravel().tolist():
             if not isinstance(v, numbers.Real):
-                raise ValueError(f"entry {v!r} is not a number")
+                raise ValueError(f"{noun} {v!r} is not a number")
     limit = sat_limit(width)
     bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
     if bad.any():
-        raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
+        raise ValueError(f"{noun} {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
     lanes = entries.astype(_DTYPES[width], order="C")
     bad = lanes != entries
     if bad.any():
-        raise ValueError(f"entry {entries[bad][:1].tolist()[0]!r} is not a whole number")
+        raise ValueError(f"{noun} {entries[bad][:1].tolist()[0]!r} is not a whole number")
     return lanes
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,29 @@ def test_lane_entries_must_be_numbers(cls, junk):
     m = cls.from_lists([[2]], 8)
     with pytest.raises(ValueError, match=f"entry {junk!r} is not a number"):
         m.set(0, 0, junk)
+
+
+@pytest.mark.parametrize("rows, entry", [([[[1], [2]]], [1]), ([[1, [2]]], [2])])
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_from_lists_names_a_nested_entry(cls, rows, entry):
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not a number")):
+        cls.from_lists(rows, 8)
+
+
+@pytest.mark.parametrize("dim", (2.0, 2.5, "2", None, 0, -1), ids=repr)
+@pytest.mark.parametrize("cls", (BoolMatrix, AntidistMatrix, DistMatrix))
+def test_matrix_dimensions_must_be_positive_integers(cls, dim):
+    for build, shape in (
+        (lambda: cls(dim, 3), f"{dim!r}x3"),
+        (lambda: cls(3, dim), f"3x{dim!r}"),
+        (lambda: cls.identity(dim), f"{dim!r}x{dim!r}"),
+    ):
+        message = f"matrix dimensions must be positive integers, got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    m = cls(np.int64(2), np.uint8(3))
+    assert (m.rows, m.cols) == (2, 3) and type(m.rows) is int
+    assert cls.identity(np.int32(2)) == cls.identity(2)
 
 
 def test_from_lists_names_the_first_bad_entry():

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semimat import graphio
+from semimat.antidist import AntidistMatrix, DistMatrix
 from semimat.boolmat import BoolMatrix
 from semimat.graphio import GraphParseError, GraphSpec, parse_edge_list
+from semimat.scalars import sat_limit
 
 
 def test_parse_weighted():
@@ -80,7 +84,15 @@ def test_bool_adjacency_sets_each_edge_bit():
 
 
 @pytest.mark.parametrize(
-    "edges", [[(0, 3, 1)], [(-1, 0, 1)], [(0, 1, 1), (4, -2, 1)], [(1, 2, 1), (2, 9, 1), (7, 0, 1)]]
+    "edges",
+    [
+        [(0, 3, 1)],
+        [(-1, 0, 1)],
+        [(0, 1, 1), (4, -2, 1)],
+        [(1, 2, 1), (2, 9, 1), (7, 0, 1)],
+        [(0, 2**70, 1)],
+        [(2**64, 0, 1)],
+    ],
 )
 def test_builders_name_the_same_out_of_range_end(edges):
     spec = GraphSpec(3, edges)
@@ -97,3 +109,46 @@ def test_weight_must_be_a_number():
         graphio.antidist_adjacency(GraphSpec(3, [(0, 1, '2')]))
     with pytest.raises(ValueError, match="weight None is not a number"):
         graphio.dist_adjacency(GraphSpec(3, [(0, 1, None)]))
+    with pytest.raises(ValueError, match=r"weight \[2\] is not a number"):
+        graphio.antidist_adjacency(GraphSpec(3, [(0, 1, [2])]))
+
+
+@pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1, 1), (1, 2)], [0, 1, 1], np.zeros((2, 2), int)])
+def test_builders_refuse_edges_that_are_not_triples(edges):
+    for build in (graphio.bool_adjacency, graphio.antidist_adjacency, graphio.dist_adjacency):
+        with pytest.raises(ValueError, match=r"edges must be \(u, v, w\) triples"):
+            build(GraphSpec(3, edges))
+
+
+@st.composite
+def weighted_edge_lists(draw):
+    """(dim, width, edges) with parallel edges and self-loops likely."""
+    width = draw(st.sampled_from((8, 16, 32)))
+    dim = draw(st.integers(1, 9))
+    vertex = st.integers(0, dim - 1)
+    weight = st.integers(0, sat_limit(width))
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=40))
+    return dim, width, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_edge_lists())
+def test_builders_match_a_per_edge_reference(case):
+    dim, width, edges = case
+    limit = sat_limit(width)
+    best = {}  # the largest S - w over the parallel edges u -> v
+    for u, v, w in edges:
+        best[u, v] = max(best.get((u, v), 0), limit - w)
+    anti = [[best.get((i, j), 0) for j in range(dim)] for i in range(dim)]
+    bits = [[int((i, j) in best) for j in range(dim)] for i in range(dim)]
+    columns = [[edge[k] for edge in edges] for k in range(3)]
+    forms = {
+        "list": lambda: list(edges),
+        "zip": lambda: zip(*columns),
+        "array": lambda: np.array(edges, dtype=np.int64).reshape(-1, 3),
+    }
+    for form, make in forms.items():
+        assert AntidistMatrix.from_edges(dim, make(), width).to_lists() == anti, form
+        want = ~AntidistMatrix.from_lists(anti, width)
+        assert DistMatrix.from_edges(dim, make(), width) == want, form
+        assert graphio.bool_adjacency(GraphSpec(dim, make())).to_lists() == bits, form
