@@ -26,10 +26,13 @@ access to the receiver while they run.
 
 A product and a closure run the same max-plus outer-product sweep, one per
 path; the closure is the product with the matrix passed as output and both
-factors, swept in place. On the vector path a step whose column hits fewer
-than half the rows gathers and updates just those rows; a denser step
-updates every row in place, in row tiles of about 512 KiB (``_TILE_BYTES``)
-that stay in L2.
+factors, swept in place. The vector path is blocked: it takes the steps in
+blocks of 128 (``_BLOCK``), and each row tile of about 512 KiB
+(``_TILE_BYTES``) runs all of a block's steps while it stays in L2, after a
+closure has run them on the block's own pivot rows. Within a tile, a step
+whose column hits fewer than half the tile's rows gathers and updates just
+those rows, and a denser step updates the whole tile in place. The scalar
+path is the plain unblocked sweep.
 """
 
 import numpy as np
@@ -82,7 +85,10 @@ class _LaneMatrix(_Matrix):
 
     def set(self, i: int, j: int, value: int) -> None:
         i, j = self._check_index(i, j)
-        self._data[i, j] = kernels.as_lanes(value, self.width)
+        lane = kernels.as_lanes(value, self.width)
+        if lane.ndim:
+            raise ValueError(f"entry {value!r} is not a number")
+        self._data[i, j] = lane
 
     def to_lists(self) -> list[list[int]]:
         return self._data.tolist()
@@ -306,53 +312,107 @@ class DistMatrix(_LaneMatrix):
 # in column k of ``left``, into ``out``. A product passes a fresh zero
 # ``out``; the closure passes the matrix itself as all three, so later steps
 # read rows that earlier steps updated (Warshall's and Floyd's order). Rows
-# whose left entry is 0 are "missed", the others "hit".
+# whose left entry is 0 are "missed", the others "hit". The scalar form is
+# that plain sweep, step by step over all rows.
 #
-# Vector form:
+# The vector form is blocked (Venkataraman, Sahni & Mukhopadhyaya, "A Blocked
+# All-Pairs Shortest-Paths Algorithm", ACM JEA 8, 2003). It takes the steps in
+# blocks of _BLOCK. A closure first runs the block's steps in order on the
+# block's own pivot rows; then every other row tile of about _TILE_BYTES runs
+# all the block's steps in order while it stays in L2. A tile step reads only
+# the tile and the pivot rows. In a closure it may read a pivot row that
+# later steps of the block already improved; that only adds valid paths, and
+# the saturated closure is the unique fixpoint, so the result is the
+# unblocked sweep's. A product has no pivot phase, and a matrix that fits in
+# one tile is swept in a single block.
 #
-# - Gather branch (fewer than half the rows hit): copy out the hit rows,
-#   combine them with the candidate and scatter them back.
-# - Dense branch (at least half hit): update every row in place, walking
-#   ``out`` in row tiles of about _TILE_BYTES so that a tile and its candidate
-#   buffer stay in L2 across the three ufunc passes. This is exact: a missed
-#   row's candidate is 0, which leaves it as it was. In a closure, step k
+# Per tile step, by the hits in the tile's slice of column k:
+#
+# - no hits: skip the step;
+# - at least half the tile's rows hit: update the tile in place. This is
+#   exact: a missed row's candidate is 0, which leaves it as it was. Step k
 #   never changes row k or column k (subsat(x, S - e) <= x), so no row reads
-#   a value the same step wrote.
-#
-# The half threshold keeps sparse sweeps (few rows per step) on the gather
-# branch, where touching every row would cost more than the copies save.
+#   a value the same step wrote. A row's candidate depends only on its entry,
+#   and closures of graphs with small weights hold few distinct entries per
+#   column, so when rows of at least _TABLE_ROW_BYTES have at most a quarter
+#   as many distinct entries in the tile's column as the tile has rows, the
+#   step builds one candidate per distinct entry and gathers them: two passes
+#   over the tile instead of three;
+# - otherwise gather the hit rows, combine them with the candidate and
+#   scatter them back, which costs less than touching every row.
 
+_BLOCK = 128
 _TILE_BYTES = 512 * 1024
-
-
-def _row_tiles(out):
-    """Row slices of ``out`` of about _TILE_BYTES each, each paired with a
-    view of one shared scratch buffer of the same shape."""
-    rows = out.shape[0]
-    step = max(1, _TILE_BYTES // out[0].nbytes)
-    buf = np.empty((min(step, rows), out.shape[1]), dtype=out.dtype)
-    return [(slice(r, r + step), buf[: min(step, rows - r)]) for r in range(0, rows, step)]
+_TABLE_ROW_BYTES = 2048  # shorter rows save less than sorting the column costs
 
 
 def _maxplus_sweep(out, left, right, limit):
-    rows = out.shape[0]
-    tiles = _row_tiles(out)
-    gap = np.empty((rows, 1), dtype=out.dtype)
-    for k in range(right.shape[0]):
-        column = left[:, k]
-        hit = np.nonzero(column != 0)[0]  # a contiguous mask: faster than the strided column
-        row_k = right[k]
-        if 2 * hit.size >= rows:
-            np.subtract(limit, column, out=gap[:, 0])
-            for span, cand in tiles:
-                np.maximum(row_k, gap[span], out=cand)
-                cand -= gap[span]
-                tile = out[span]
-                np.maximum(tile, cand, out=tile)
-        elif hit.size:
-            cand = kernels.np_subsat(row_k[None, :], (limit - column[hit])[:, None])
-            np.maximum(out[hit], cand, out=cand)
-            out[hit] = cand
+    rows, steps = out.shape[0], right.shape[0]
+    height = max(1, _TILE_BYTES // out[0].nbytes)
+    block = _BLOCK if rows > height else steps  # one tile gains nothing from blocks
+    buf = np.empty((min(rows, max(height, block)), out.shape[1]), out.dtype)  # a tile or the pivot rows
+    for k0 in range(0, steps, block):
+        ks = range(k0, min(k0 + block, steps))
+        spans = ((0, rows),)
+        if out is right:
+            _sweep_rows(out, left, right, limit, ks.start, ks.stop, ks, buf)
+            spans = ((0, ks.start), (ks.stop, rows))
+        for first, end in spans:
+            for lo in range(first, end, height):
+                _sweep_rows(out, left, right, limit, lo, min(lo + height, end), ks, buf)
+
+
+def _sweep_rows(out, left, right, limit, lo, hi, ks, buf):
+    """Run steps ``ks`` in order on rows lo:hi of ``out``, using ``buf``
+    (at least hi - lo rows) as scratch."""
+    tile = out[lo:hi]
+    rows = hi - lo
+    for k in ks:
+        column = left[lo:hi, k]
+        hits = np.count_nonzero(column)
+        if 2 * hits >= rows:
+            _dense_step(tile, column, right[k], limit, buf[:rows])
+        elif hits:
+            hit = (column != 0).nonzero()[0]  # a contiguous mask: faster than the strided column
+            _gather_step(tile, hit, column[hit], right[k], limit, buf)
+
+
+def _dense_step(tile, column, row_k, limit, cand):
+    # Short rows skip the count: the column has as many entries as rows.
+    entries = _distinct(column) if row_k.nbytes >= _TABLE_ROW_BYTES else column
+    if 4 * entries.size <= column.size:
+        gap = (limit - entries)[:, None]
+        table = np.maximum(row_k, gap)
+        table -= gap
+        table.take(entries.searchsorted(column), axis=0, out=cand, mode="clip")
+    else:
+        gap = (limit - column)[:, None]
+        np.maximum(row_k, gap, out=cand)
+        cand -= gap
+    np.maximum(tile, cand, out=tile)
+
+
+def _distinct(values):
+    """The distinct entries of a 1-D lane array in increasing order (np.unique
+    would import numpy.ma on its first call)."""
+    if values.dtype == np.uint8:  # counting 256 values is faster than sorting
+        return np.bincount(values, minlength=256).nonzero()[0].astype(np.uint8)
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def _gather_step(tile, hit, entries, row_k, limit, buf):
+    size = hit.size  # fewer than half the tile's rows, so both halves fit
+    cand, rows = buf[:size], buf[size : 2 * size]
+    gap = (limit - entries)[:, None]
+    np.maximum(row_k, gap, out=cand)
+    cand -= gap
+    tile.take(hit, axis=0, out=rows, mode="clip")  # indices are in range; no out buffering
+    np.maximum(rows, cand, out=rows)
+    tile[hit] = rows
 
 
 def _maxplus_sweep_scalar(out, left, right, limit):

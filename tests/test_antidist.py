@@ -1,5 +1,6 @@
 import random
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -126,14 +127,16 @@ def test_lane_entries_must_be_whole_numbers(cls):
     assert m.get(0, 0) == 7
 
 
-@pytest.mark.parametrize("junk", ("1", None))
+@pytest.mark.parametrize("junk", ("1", None, [2]))
 @pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
 def test_lane_entries_must_be_numbers(cls, junk):
-    with pytest.raises(ValueError, match=f"entry {junk!r} is not a number"):
+    message = re.escape(f"entry {junk!r} is not a number")
+    with pytest.raises(ValueError, match=message):
         cls.from_lists([[2, junk]], 8)
     m = cls.from_lists([[2]], 8)
-    with pytest.raises(ValueError, match=f"entry {junk!r} is not a number"):
+    with pytest.raises(ValueError, match=message):
         m.set(0, 0, junk)
+    assert m.to_lists() == [[2]]
 
 
 @pytest.mark.parametrize("rows, entry", [([[[1], [2]]], [1]), ([[1, [2]]], [2])])
@@ -566,39 +569,67 @@ def test_closure_commutes_with_boolean_structure():
         assert lifted.transitive_closure().to_boolmat() == b.transitive_closure()
 
 
-# -- vector sweep: row tiles and the dense/gather branches -----------------------
+# -- vector sweep: blocks, tiles and branches ------------------------------------
 #
-# Full-size tiles hold hundreds of rows, so these tests shrink them to a few
-# rows: 53- and 61-row matrices then span many tiles with a shorter last one.
-# Columns cycle through dense, sparse and empty so both branches run.
+# Full-size blocks take 128 steps and full-size tiles hold hundreds of rows, so
+# these tests shrink both to a few: 53- and 61-row matrices then span many
+# blocks and tiles, with a shorter last one of each. Columns cycle through
+# dense, sparse and empty so every branch runs.
 
 SHARES = (0.9, 0.15, 0.0)
 
 
-@pytest.fixture
-def small_tiles(monkeypatch):
-    """Shrink the sweep tiles and record the tile heights of every vector sweep."""
-    monkeypatch.setattr(antidist, "_TILE_BYTES", 700)
-    heights = []
-    real = antidist._row_tiles
+def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
+    """Blocks of ``block`` steps and tiles of ``tile_rows`` rows of ``cols``
+    lanes. Returns the (lo, hi, steps) of every row span the sweep runs, the
+    pivot phases included, in order."""
+    monkeypatch.setattr(antidist, "_BLOCK", block)
+    monkeypatch.setattr(antidist, "_TILE_BYTES", tile_rows * cols * width // 8)
+    monkeypatch.setattr(antidist, "_TABLE_ROW_BYTES", 0)  # short rows take the table too
+    runs = []
+    real = antidist._sweep_rows
 
-    def spy(out):
-        tiles = real(out)
-        heights.append([cand.shape[0] for _, cand in tiles])
-        return tiles
+    def spy(out, left, right, limit, lo, hi, ks, buf):
+        runs.append((lo, hi, ks))
+        real(out, left, right, limit, lo, hi, ks, buf)
 
-    monkeypatch.setattr(antidist, "_row_tiles", spy)
-    return heights
+    monkeypatch.setattr(antidist, "_sweep_rows", spy)
+    return runs
 
 
-def assert_ragged(heights):
-    assert heights
-    assert all(len(h) > 1 and h[-1] < h[0] for h in heights)
+def assert_blocks_cover_rows(runs, rows, steps, block, tile_rows, closure):
+    """Every block runs its steps once on every row: the pivot rows first in
+    a closure, then tiles of at most ``tile_rows`` rows."""
+    starts = list(range(0, steps, block))
+    assert sorted({ks.start for _, _, ks in runs}) == starts
+    for k0 in starts:
+        ks = range(k0, min(k0 + block, steps))
+        spans = [(lo, hi) for lo, hi, got in runs if got == ks]
+        tiles = spans[1:] if closure else spans
+        if closure:
+            assert spans[0] == (ks.start, ks.stop)
+            assert all(hi <= ks.start or lo >= ks.stop for lo, hi in tiles)
+        assert all(hi - lo <= tile_rows for lo, hi in tiles)
+        assert sorted(r for lo, hi in spans for r in range(lo, hi)) == list(range(rows))
+
+
+def count_branches(monkeypatch):
+    """Count the tile steps that take the in-place and the gather branch."""
+    seen = {"dense": 0, "gather": 0}
+    for branch in seen:
+        real = getattr(antidist, f"_{branch}_step")
+
+        def spy(*args, real=real, branch=branch):
+            seen[branch] += 1
+            real(*args)
+
+        monkeypatch.setattr(antidist, f"_{branch}_step", spy)
+    return seen
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
-def test_vector_product_across_tiles_and_branches(width, cls, small_tiles, monkeypatch):
+def test_vector_product_across_tiles_and_branches(width, cls, monkeypatch):
     rng = random.Random(f"product-tiles-{width}")
     limit = sat_limit(width)
     rows, inner, cols = 53, 67, 41
@@ -606,32 +637,35 @@ def test_vector_product_across_tiles_and_branches(width, cls, small_tiles, monke
         [rng.randint(1, limit) if rng.random() < SHARES[k % 3] else 0 for k in range(inner)]
         for _ in range(rows)
     ]
-    for k, count in ((1, rows // 2), (4, rows // 2 + 1)):  # one hit either side of half
+    for k, count in ((1, 2), (4, 3)):  # each tile one hit either side of half
         for r, row in enumerate(a_vals):
-            row[k] = rng.randint(1, limit) if r < count else 0
+            row[k] = rng.randint(1, limit) if r % 5 < count else 0
     b_vals = random_values(rng, inner, cols, limit)
     a = AntidistMatrix.from_lists(a_vals, width)
     b = AntidistMatrix.from_lists(b_vals, width)
     want = AntidistMatrix.from_lists(oracle.naive_antidist_mul(a_vals, b_vals, limit), width)
     if cls is DistMatrix:
         a, b, want = ~a, ~b, ~want
-    gathers = []
-    real = kernels.np_subsat
-    monkeypatch.setattr(kernels, "np_subsat", lambda *args: gathers.append(1) or real(*args))
+    runs = shrink_sweep(monkeypatch, width, cols)
+    seen = count_branches(monkeypatch)
     got = a * b
-    hits = [sum(1 for row in a_vals if row[k]) for k in range(inner)]
-    assert len(gathers) == sum(1 for h in hits if 0 < 2 * h < rows)
-    assert any(2 * h >= rows for h in hits)
+    assert_blocks_cover_rows(runs, rows, inner, 7, 5, closure=False)
+    assert runs[-1][2] == range(63, 67) and any(hi - lo < 5 for lo, hi, _ in runs)
+    # The half rule holds per tile: a tile's own rows decide its branch.
+    hits = [sum(1 for row in a_vals[lo:hi] if row[k]) for lo, hi, ks in runs for k in ks]
+    sizes = [hi - lo for lo, hi, ks in runs for _ in ks]
+    assert seen["gather"] == sum(1 for h, n in zip(hits, sizes) if 0 < 2 * h < n)
+    assert seen["dense"] == sum(1 for h, n in zip(hits, sizes) if 2 * h >= n)
+    assert 0 < seen["dense"] and 0 < seen["gather"] and seen["dense"] + seen["gather"] < len(hits)
     assert got == want
     assert_no_padding(got)
-    assert_ragged(small_tiles)
     with kernels.forced_scalar():
         assert a * b == want
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
-def test_vector_closure_across_tiles_and_branches(width, cls, small_tiles):
+def test_vector_closure_across_tiles_and_branches(width, cls, monkeypatch):
     rng = random.Random(f"closure-tiles-{width}")
     dim = 61
     edges = [
@@ -644,11 +678,112 @@ def test_vector_closure_across_tiles_and_branches(width, cls, small_tiles):
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
     if cls is DistMatrix:
         m, want = ~m, ~want
+    runs = shrink_sweep(monkeypatch, width, dim)
+    seen = count_branches(monkeypatch)
     inplace = m.copy()
     inplace.transitive_close()
+    assert_blocks_cover_rows(runs, dim, dim, 7, 5, closure=True)
+    assert runs[-1][2] == range(56, 61) and any(hi - lo < 5 for lo, hi, _ in runs)
+    assert seen["dense"] and seen["gather"]
     assert m.transitive_closure() == want
     assert inplace == want
     assert_no_padding(inplace)
-    assert_ragged(small_tiles)
     with kernels.forced_scalar():
         assert m.transitive_closure() == want
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("block, tile_rows", [(7, 5), (3, 5), (64, 5), (1, 1)])
+def test_blocked_sweep_any_shape(width, block, tile_rows, monkeypatch):
+    """Dimensions that are multiples of neither the block nor the tile, pivot
+    rows that straddle tiles, outnumber a tile's rows or cover the whole
+    matrix: the product and the closure equal the oracle and the scalar path."""
+    rng = random.Random(f"blocked-{width}-{block}-{tile_rows}")
+    limit = sat_limit(width)
+    dim = 43
+    edges = [(u, v, rng.randint(1, 12)) for u in range(dim) for v in range(dim) if rng.random() < 0.3]
+    m = AntidistMatrix.from_edges(dim, edges, width)
+    closure = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, limit), width)
+    b_vals = random_values(rng, dim, dim, limit)
+    b = AntidistMatrix.from_lists(b_vals, width)
+    product = AntidistMatrix.from_lists(oracle.naive_antidist_mul(m.to_lists(), b_vals, limit), width)
+    runs = shrink_sweep(monkeypatch, width, dim, block, tile_rows)
+    assert m.transitive_closure() == closure
+    assert_blocks_cover_rows(runs, dim, dim, block, tile_rows, closure=True)
+    runs.clear()
+    assert m * b == product
+    assert_blocks_cover_rows(runs, dim, dim, block, tile_rows, closure=False)
+    with kernels.forced_scalar():
+        assert m.transitive_closure() == closure
+        assert m * b == product
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_dense_step_with_few_and_many_distinct_entries(width, monkeypatch):
+    """The in-place branch builds one candidate row per distinct entry of the
+    column when they are few, and one per row otherwise; both equal the
+    step's definition."""
+    monkeypatch.setattr(antidist, "_TABLE_ROW_BYTES", 0)
+    rng = np.random.default_rng(width)
+    limit = sat_limit(width)
+    dtype = kernels.dtype_for(width)
+    tile = rng.integers(0, limit + 1, (16, 9), dtype=dtype)
+    row_k = rng.integers(0, limit + 1, 9, dtype=dtype)
+    few = np.array([limit - 1, 0, 0, limit - 1, 1] * 3 + [0], dtype)
+    many = np.array([0, 1, limit, limit - 1, 2, 3] + [5] * 10, dtype)
+    assert antidist._distinct(few).tolist() == [0, 1, limit - 1]  # 4 * 3 <= 16 rows
+    assert antidist._distinct(many).tolist() == sorted({0, 1, limit, limit - 1, 2, 3, 5})
+    for column in (few, many):
+        want = [
+            [max(x, r - (limit - e) if r > limit - e else 0) for x, r in zip(row, row_k.tolist())]
+            for row, e in zip(tile.tolist(), column.tolist())
+        ]
+        got = tile.copy()
+        antidist._dense_step(got, column, row_k, limit, np.empty_like(got))
+        assert got.tolist() == want
+
+
+# -- paths under threads --------------------------------------------------------
+
+def test_concurrent_closures_keep_their_own_path(monkeypatch):
+    """One thread closes a matrix on the pinned scalar path while another
+    closes a different one on the blocked vector path: each runs on its own
+    path and both results are exact."""
+    rng = random.Random("concurrent")
+    graphs = []
+    for dim in (30, 40):
+        edges = [(u, v, rng.randint(1, 9)) for u in range(dim) for v in range(dim) if rng.random() < 0.5]
+        graphs.append((AntidistMatrix.from_edges(dim, edges, 8), oracle.apsp_dijkstra(dim, edges, 255)))
+    shrink_sweep(monkeypatch, 8, 40, block=8, tile_rows=4)
+    paths = {}
+    for name in ("_maxplus_sweep", "_maxplus_sweep_scalar"):
+        real = getattr(antidist, name)
+
+        def spy(*args, real=real, name=name):
+            paths.setdefault(threading.current_thread().name, set()).add(name)
+            real(*args)
+
+        monkeypatch.setattr(antidist, name, spy)
+    start = threading.Barrier(2, timeout=10)
+    results = {}
+
+    def close(name, matrix, scalar):
+        start.wait()
+        if scalar:
+            with kernels.forced_scalar():
+                results[name] = matrix.transitive_closure()
+        else:
+            results[name] = matrix.transitive_closure()
+
+    threads = [
+        threading.Thread(target=close, name=name, args=(name, m, name == "scalar"))
+        for name, (m, _) in zip(("scalar", "vector"), graphs)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert paths == {"scalar": {"_maxplus_sweep_scalar"}, "vector": {"_maxplus_sweep"}}
+    for name, (_, want) in zip(("scalar", "vector"), graphs):
+        assert results[name].to_lists() == want

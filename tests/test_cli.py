@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semimat import cli, matio
+from semimat import antidist, cli, matio
 from semimat.antidist import AntidistMatrix
 from semimat.boolmat import BoolMatrix
 
@@ -235,3 +235,17 @@ def test_closure_too_large_to_allocate_is_an_error(tmp_path, capsys, flags):
     assert out == ""
     assert err.startswith("semimat: error:")
     assert "Traceback" not in err
+
+
+def test_closure_out_of_memory_in_the_sweep_is_an_error(tmp_path, capsys, monkeypatch):
+    def no_room(*args):
+        raise MemoryError("no room for the tile")
+
+    monkeypatch.setattr(antidist, "_sweep_rows", no_room)
+    g = tmp_path / "g.txt"
+    g.write_text(CHAIN)
+    code, out, err = run(capsys, "closure", str(g), "-o", str(tmp_path / "m.txt"))
+    assert code == 1
+    assert out == ""
+    assert err == "semimat: error: no room for the tile\n"
+    assert not (tmp_path / "m.txt").exists()
