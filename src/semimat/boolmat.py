@@ -33,14 +33,15 @@ def _unpack_bits(blocks, cols):
 
 def _edge_table(dim: int, edges):
     """The edges (u, v, w) of a graph on ``dim`` vertices, given as a list,
-    an iterator or an (m, 3) array, as their ends (an (m, 2) intp array) and
-    their weight column.
+    an iterator or an (m, 3) array-like such as a parsed edge table, as their
+    ends (an (m, 2) intp array) and their weight column. An integer table is
+    read in place, without a copy.
 
     An end must be an integer in [0, dim). A float or any other non-integer
     end raises ``IndexError`` (it is never truncated), and ``ValueError``
     names the first end out of range, in edge order. Weights pass unchecked.
     """
-    if not isinstance(edges, np.ndarray):
+    if not hasattr(edges, "__array__"):
         edges = list(edges)
     try:
         # numpy reads an empty list as a float array of shape (0,)
@@ -64,7 +65,7 @@ def _edge_table(dim: int, edges):
     if bad.size:
         end = "target" if bad[0] % 2 else "source"
         raise ValueError(f"{end} vertex {ends.flat[bad[0]]} out of range [0, {dim})")
-    return ends.astype(np.intp), table[:, 2]
+    return ends.astype(np.intp, copy=False), table[:, 2]
 
 
 class _Matrix:

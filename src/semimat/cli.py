@@ -62,7 +62,7 @@ def _emit(matrix, output, binary):
     if output is not None:
         matio.save(matrix, output, binary=binary)
     elif binary:
-        sys.stdout.buffer.write(matio.to_binary(matrix))
+        matio.to_binary(matrix, sys.stdout.buffer)
         sys.stdout.buffer.flush()
     else:
         sys.stdout.write(matio.format_text(matrix))

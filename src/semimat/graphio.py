@@ -3,12 +3,22 @@
 The format is one header line ``p <vertex_count>`` followed by one edge per
 line, ``u v`` or ``u v w``. ``#`` starts a comment, blank lines are ignored,
 and edges without a weight get weight 1.
+
+The body is read as one int64 table by a single ``np.loadtxt`` call, with its
+ranges checked by whole-column reductions. The line loop runs only when that
+fails or finds a fault, to name the line, or for the rare body it cannot
+take: 2- and 3-field lines mixed, non-ASCII digits, ``1_0`` or an integer
+beyond int64.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .antidist import AntidistMatrix, DistMatrix
 from .boolmat import BoolMatrix, _edge_table
+from .matio import _read_integers
 
 
 class GraphParseError(ValueError):
@@ -21,12 +31,46 @@ class GraphParseError(ValueError):
         self.lineno = lineno
 
 
+class EdgeTable(Sequence):
+    """Parsed edges: an (m, 3) int64 array of rows (u, v, w), read as a
+    sequence of (u, v, w) tuples of ints that compares equal to a list of
+    them. ``np.asarray`` returns the array itself, so the adjacency builders
+    read it without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EdgeTable(self.array[i])
+        return tuple(self.array[i].tolist())
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, EdgeTable)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"EdgeTable({list(self)!r})"
+
+
 @dataclass
 class GraphSpec:
     """A directed graph as parsed from an edge list."""
 
     vertex_count: int
-    edges: list[tuple[int, int, int]] = field(default_factory=list)
+    edges: Sequence[tuple[int, int, int]] = field(default_factory=list)
     weighted: bool = False
 
 
@@ -36,25 +80,50 @@ def parse_edge_list(text: str) -> GraphSpec:
     Vertex ids must lie in [0, vertex_count) and weights must be nonnegative
     integers; whether a weight fits a lane width is checked when the matrix
     is built. Problems raise GraphParseError naming the line and the value.
+    The edges are an EdgeTable when the body is read as one table, else the
+    line loop's list of tuples; either compares equal to that list.
     """
-    count = None
+    lines = text.splitlines()
+    count, first = _header(lines)
+    table = _read_integers(lines[first:], comments="#")
+    if table is not None and table.shape[1] in (2, 3):
+        if table.min() >= 0 and table[:, :2].max() < count:
+            weighted = table.shape[1] == 3
+            if not weighted:
+                table = np.column_stack((table, np.ones(len(table), np.int64)))
+            return GraphSpec(count, EdgeTable(table), weighted)
+    return _parse_lines(lines, count, first)
+
+
+def _header(lines):
+    """The vertex count of the header and the index of the line after it."""
+    for index, raw in enumerate(lines):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        lineno = index + 1
+        if parts[0] != "p" or len(parts) != 2:
+            raise GraphParseError("expected header 'p <vertex_count>'", lineno)
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", lineno) from None
+        if count < 1:
+            raise GraphParseError(f"vertex count must be positive, got {count}", lineno)
+        return count, lineno
+    raise GraphParseError("missing 'p <vertex_count>' header")
+
+
+def _parse_lines(lines, count, first):
+    """The edges of lines[first:], read one line at a time: the first
+    faulty line raises the GraphParseError that names it."""
     edges = []
     weighted = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines[first:], start=first + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if count is None:
-            if parts[0] != "p" or len(parts) != 2:
-                raise GraphParseError("expected header 'p <vertex_count>'", lineno)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", lineno) from None
-            if count < 1:
-                raise GraphParseError(f"vertex count must be positive, got {count}", lineno)
-            continue
         if len(parts) not in (2, 3):
             raise GraphParseError(f"expected 'u v [w]', got {line!r}", lineno)
         try:
@@ -74,8 +143,6 @@ def parse_edge_list(text: str) -> GraphSpec:
         else:
             w = 1
         edges.append((u, v, w))
-    if count is None:
-        raise GraphParseError("missing 'p <vertex_count>' header")
     return GraphSpec(count, edges, weighted)
 
 

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semimat import graphio
 from semimat.antidist import AntidistMatrix, DistMatrix
-from semimat.boolmat import BoolMatrix
-from semimat.graphio import GraphParseError, GraphSpec, parse_edge_list
+from semimat.boolmat import BoolMatrix, _edge_table
+from semimat.graphio import EdgeTable, GraphParseError, GraphSpec, parse_edge_list
 from semimat.scalars import sat_limit
 
 
@@ -152,3 +154,82 @@ def test_builders_match_a_per_edge_reference(case):
         want = ~AntidistMatrix.from_lists(anti, width)
         assert DistMatrix.from_edges(dim, make(), width) == want, form
         assert graphio.bool_adjacency(GraphSpec(dim, make())).to_lists() == bits, form
+
+
+def test_parsed_edges_are_one_int64_table():
+    spec = parse_edge_list("p 4\n0 1 3\n1 2 4\n3 0 0\n")
+    assert isinstance(spec.edges, EdgeTable)
+    assert spec.edges.array.dtype == np.int64 and spec.edges.array.shape == (3, 3)
+    assert len(spec.edges) == 3 and spec.edges[1] == (1, 2, 4) and (3, 0, 0) in spec.edges
+    assert list(spec.edges) == [(0, 1, 3), (1, 2, 4), (3, 0, 0)] == spec.edges
+    assert spec.edges[1:] == [(1, 2, 4), (3, 0, 0)]
+    assert spec.edges != [(0, 1, 3)] and spec.edges != "edges"
+    assert parse_edge_list("p 3\n0 1\n1 2\n").edges.array.tolist() == [[0, 1, 1], [1, 2, 1]]
+    # the builders read the table in place
+    ends, weights = _edge_table(4, spec.edges)
+    assert np.shares_memory(ends, spec.edges.array)
+    assert np.shares_memory(weights, spec.edges.array)
+
+
+@pytest.mark.parametrize("text", ["p 3\n", "p 3", "# g\np 3 # three\n\n  # none\n\t\n"])
+def test_header_only_edge_list_has_no_edges(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = parse_edge_list(text)
+    assert spec == GraphSpec(3, [], False)
+    assert graphio.antidist_adjacency(spec) == AntidistMatrix.zeros(3, 3)
+
+
+def test_line_loop_reads_what_loadtxt_cannot():
+    spec = parse_edge_list("p 12\n0 1\n1 2 4\n1_0 \u0663 2\n")
+    assert spec == GraphSpec(12, [(0, 1, 1), (1, 2, 4), (10, 3, 2)], True)
+    huge = parse_edge_list(f"p 2\n0 1 {2**70}\n")
+    assert huge.edges == [(0, 1, 2**70)]
+    with pytest.raises(ValueError, match=f"weight {2**70} outside"):
+        graphio.antidist_adjacency(huge, 32)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return str(exc), exc.lineno
+
+
+def _parse_by_lines(text):
+    lines = text.splitlines()
+    return graphio._parse_lines(lines, *graphio._header(lines))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists with comments, blank lines, CRLF and tabs, bodies of 2, 3
+    or mixed field counts, and now and then a field the line loop alone
+    reads (1_0, a non-ASCII digit) or refuses."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1).map(str)
+    weight = st.integers(0, 30).map(str)
+    odd = st.sampled_from(["1_0", "\u0663", "+1", "007", "-0", "-1", str(n), "x", "1.5", "9" * 20])
+    if draw(st.booleans()):
+        vertex = vertex | odd
+        weight = weight | odd
+    counts = draw(st.sampled_from([[2], [3], [2, 3], [2, 3, 1, 4]]))
+    blank = st.sampled_from(["", "  ", "\t", "# a comment", " # p 5"])
+    lines = draw(st.lists(blank, max_size=2)) + ["p" + draw(st.sampled_from([" ", "\t"])) + str(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(blank))
+            continue
+        k = draw(st.sampled_from(counts))
+        fields = [draw(vertex), draw(vertex), draw(weight), draw(weight)][:k]
+        line = draw(st.sampled_from([" ", "\t", "  "])).join(fields)
+        lines.append(line + draw(st.sampled_from(["", " ", "\t# x", " #y"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_array_parser_agrees_with_the_line_loop(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_by_lines, text)

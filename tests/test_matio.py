@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semimat import matio
 from semimat.antidist import AntidistMatrix, DistMatrix
@@ -184,3 +185,41 @@ def test_types_do_not_compare_equal():
     d = DistMatrix.from_lists(a.to_lists(), 8)
     assert a != d
     assert matio.format_text(a) != matio.format_text(d)
+
+
+def test_saved_binary_file_holds_to_binary(tmp_path):
+    rng = random.Random(4)
+    matrices = [random_bool(rng, 3, 65)]
+    for width in WIDTHS:
+        matrices.append(random_lane(AntidistMatrix, rng, 4, 17, width))
+        matrices.append(random_lane(DistMatrix, rng, 4, 17, width))
+    for i, m in enumerate(matrices):
+        path = tmp_path / f"m{i}.mat"
+        matio.save(m, path, binary=True)
+        assert path.read_bytes() == matio.to_binary(m)
+        assert isinstance(matio.to_binary(m), bytes)
+
+
+@st.composite
+def lane_matrices(draw):
+    """Lane matrices of 1x1, 1xN, Nx1 and other shapes whose entries are
+    often 0, S or a power of ten or one less (a digit count's edges)."""
+    cls = draw(st.sampled_from((AntidistMatrix, DistMatrix)))
+    width = draw(st.sampled_from(WIDTHS))
+    limit = sat_limit(width)
+    n = draw(st.integers(1, 12))
+    rows, cols = draw(st.sampled_from([(1, 1), (1, n), (n, 1), (draw(st.integers(2, 5)), n)]))
+    edges = [0, limit] + [v for p in range(1, 10) for v in (10**p - 1, 10**p) if v <= limit]
+    entry = st.integers(0, limit) | st.sampled_from(edges)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return cls.from_lists(draw(st.lists(row, min_size=rows, max_size=rows)), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_matrices())
+def test_lane_text_is_space_separated_decimals(m):
+    kind = "antidist" if isinstance(m, AntidistMatrix) else "dist"
+    body = "".join(" ".join(str(v) for v in row) + "\n" for row in m.to_lists())
+    text = matio.format_text(m)
+    assert text == f"{kind} {m.width} {m.rows} {m.cols}\n" + body
+    assert matio.parse_text(text) == m
