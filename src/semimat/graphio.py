@@ -7,8 +7,8 @@ and edges without a weight get weight 1.
 The body is read as one int64 table by a single ``np.loadtxt`` call, with its
 ranges checked by whole-column reductions. The line loop runs only when that
 fails or finds a fault, to name the line, or for the rare body it cannot
-take: 2- and 3-field lines mixed, non-ASCII digits, ``1_0`` or an integer
-beyond int64.
+take: 2- and 3-field lines mixed, non-ASCII text outside comments (such
+as a non-ASCII digit), ``1_0`` or an integer beyond int64.
 """
 
 from collections.abc import Sequence
@@ -46,23 +46,19 @@ class EdgeTable(Sequence):
         return len(self.array)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return EdgeTable(self.array[i])
         return tuple(self.array[i].tolist())
 
     def __iter__(self):
         return map(tuple, self.array.tolist())
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.array, dtype=dtype, copy=copy)
+        # numpy 1.x has no copy=None: pass copy only when it asks for one
+        return np.array(self.array, dtype=dtype) if copy else np.asarray(self.array, dtype=dtype)
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple, EdgeTable)):
             return list(self) == list(other)
         return NotImplemented
-
-    def __repr__(self):
-        return f"EdgeTable({list(self)!r})"
 
 
 @dataclass

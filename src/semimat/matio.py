@@ -10,6 +10,7 @@ payload: packed 64-bit little-endian blocks for Boolean matrices (padding
 bits zero), bare little-endian entries without padding for lane matrices.
 """
 
+import os
 import re
 import struct
 import warnings
@@ -106,7 +107,10 @@ def _read_integers(lines, comments=None):
     ``comments`` (a string, or None for no comments) to the end of its line
     is ignored."""
     if not all(map(str.isascii, lines)):
-        return None  # numpy's integer parser takes some non-ASCII letters for digits
+        # numpy's integer parser takes some non-ASCII letters for digits;
+        # in a comment such a letter is harmless
+        if comments is None or re.search(rf"^[^{re.escape(comments)}\n]*[^\x00-\x7f]", "\n".join(lines), re.M):
+            return None
     with warnings.catch_warnings():
         # numpy 1.x reads "1.5" as 1 and only warns; make that an error
         warnings.simplefilter("error", DeprecationWarning)
@@ -166,8 +170,9 @@ def parse_text(text: str):
 # -- binary -----------------------------------------------------------------
 
 def to_binary(m, file=None):
-    """The binary form of ``m`` as bytes or, given a binary file, written to
-    it: the header, then the payload straight from the matrix's own buffer."""
+    """The binary form of ``m`` as bytes or, given a path or a binary file,
+    written to it: the header, then the payload straight from the matrix's
+    own buffer. A path is opened only once ``m`` is known to be a matrix."""
     if isinstance(m, BoolMatrix):
         header = _HEADER.pack(MAGIC, _TYPE_BOOL, 0, m.rows, m.cols)
         payload = m.blocks.astype("<u8", copy=False)
@@ -179,8 +184,11 @@ def to_binary(m, file=None):
         raise TypeError(f"cannot serialize {type(m).__name__}")
     if file is None:
         return b"".join((header, payload))
-    file.write(header)
-    file.write(payload)
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "wb") as out:
+            out.writelines((header, payload))
+    else:
+        file.writelines((header, payload))
 
 
 def from_binary(data: bytes):
@@ -223,12 +231,10 @@ def from_binary(data: bytes):
 # -- files ------------------------------------------------------------------
 
 def save(m, path, binary: bool = False) -> None:
-    path = Path(path)
     if binary:
-        with path.open("wb") as file:
-            to_binary(m, file)
+        to_binary(m, path)
     else:
-        path.write_text(format_text(m))
+        Path(path).write_text(format_text(m))
 
 
 def load(path):

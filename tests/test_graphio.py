@@ -162,13 +162,24 @@ def test_parsed_edges_are_one_int64_table():
     assert spec.edges.array.dtype == np.int64 and spec.edges.array.shape == (3, 3)
     assert len(spec.edges) == 3 and spec.edges[1] == (1, 2, 4) and (3, 0, 0) in spec.edges
     assert list(spec.edges) == [(0, 1, 3), (1, 2, 4), (3, 0, 0)] == spec.edges
-    assert spec.edges[1:] == [(1, 2, 4), (3, 0, 0)]
     assert spec.edges != [(0, 1, 3)] and spec.edges != "edges"
     assert parse_edge_list("p 3\n0 1\n1 2\n").edges.array.tolist() == [[0, 1, 1], [1, 2, 1]]
     # the builders read the table in place
     ends, weights = _edge_table(4, spec.edges)
     assert np.shares_memory(ends, spec.edges.array)
     assert np.shares_memory(weights, spec.edges.array)
+    # numpy 1.x calls __array__() or __array__(dtype, None) and takes no copy=None
+    for args in ((), (None,), (None, None), (None, False)):
+        assert spec.edges.__array__(*args) is spec.edges.array
+    copied = spec.edges.__array__(None, True)
+    assert not np.shares_memory(copied, spec.edges.array) and (copied == spec.edges.array).all()
+    assert spec.edges.__array__(np.int32).dtype == np.int32
+
+
+def test_non_ascii_comments_keep_the_table_reader():
+    spec = parse_edge_list("# Zo\u00eb \u2014 \u0663\np 3 # caf\u00e9\n0 1 2 # \u00fc\n1 2 5\n")
+    assert isinstance(spec.edges, EdgeTable)
+    assert spec == GraphSpec(3, [(0, 1, 2), (1, 2, 5)], True)
 
 
 @pytest.mark.parametrize("text", ["p 3\n", "p 3", "# g\np 3 # three\n\n  # none\n\t\n"])
@@ -203,9 +214,9 @@ def _parse_by_lines(text):
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge lists with comments, blank lines, CRLF and tabs, bodies of 2, 3
-    or mixed field counts, and now and then a field the line loop alone
-    reads (1_0, a non-ASCII digit) or refuses."""
+    """Edge lists with comments (some non-ASCII), blank lines, CRLF and
+    tabs, bodies of 2, 3 or mixed field counts, and now and then a field the
+    line loop alone reads (1_0, a non-ASCII digit) or refuses."""
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1).map(str)
     weight = st.integers(0, 30).map(str)
@@ -214,7 +225,7 @@ def edge_list_texts(draw):
         vertex = vertex | odd
         weight = weight | odd
     counts = draw(st.sampled_from([[2], [3], [2, 3], [2, 3, 1, 4]]))
-    blank = st.sampled_from(["", "  ", "\t", "# a comment", " # p 5"])
+    blank = st.sampled_from(["", "  ", "\t", "# a comment", " # p 5", "# Zo\u00eb \u0663"])
     lines = draw(st.lists(blank, max_size=2)) + ["p" + draw(st.sampled_from([" ", "\t"])) + str(n)]
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 4)) == 0:
@@ -223,7 +234,7 @@ def edge_list_texts(draw):
         k = draw(st.sampled_from(counts))
         fields = [draw(vertex), draw(vertex), draw(weight), draw(weight)][:k]
         line = draw(st.sampled_from([" ", "\t", "  "])).join(fields)
-        lines.append(line + draw(st.sampled_from(["", " ", "\t# x", " #y"])))
+        lines.append(line + draw(st.sampled_from(["", " ", "\t# x", " #y", " # \u2014"])))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 

@@ -200,6 +200,17 @@ def test_saved_binary_file_holds_to_binary(tmp_path):
         assert isinstance(matio.to_binary(m), bytes)
 
 
+def test_saving_a_non_matrix_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "kept.mat"
+    path.write_bytes(b"keep me")
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        matio.save(object(), path, binary=True)
+    assert path.read_bytes() == b"keep me"
+    with pytest.raises(TypeError):
+        matio.save(object(), tmp_path / "absent.mat", binary=True)
+    assert not (tmp_path / "absent.mat").exists()
+
+
 @st.composite
 def lane_matrices(draw):
     """Lane matrices of 1x1, 1xN, Nx1 and other shapes whose entries are
