@@ -33,12 +33,29 @@ closure has run them on the block's own pivot rows. Within a tile, a step
 whose column hits fewer than half the tile's rows gathers and updates just
 those rows, and a denser step updates the whole tile in place. The scalar
 path is the plain unblocked sweep.
+
+A vector closure is planned from the matrix's support (its nonzero entries
+as packed bits). If the support is strongly connected, the plain blocked
+sweep runs. Otherwise the vertices are relabelled in reachability order, a
+depth-first order read with the Boolean closure. The matrix is permuted in
+place, and the blocked sweep runs with spans: each tile step touches only
+the columns between its pivot row's first and last nonzero entries. Then the
+inverse permutation restores the labels in place.
 """
 
 import numpy as np
 
 from . import kernels
-from .boolmat import BoolMatrix, _Matrix, _edge_table, _pack_bits, _unpack_bits
+from .boolmat import (
+    BLOCK_BITS,
+    BoolMatrix,
+    _block_count,
+    _edge_table,
+    _Matrix,
+    _pack_bits,
+    _table_sweep,
+    _unpack_bits,
+)
 from .scalars import sat_limit
 
 
@@ -227,7 +244,7 @@ class AntidistMatrix(_LaneMatrix):
         """In-place variant of :meth:`transitive_closure`."""
         self._check_square()
         if kernels.use_vector():
-            _maxplus_sweep(self._data, self._data, self._data, self.limit)
+            _maxplus_close(self._data, self.limit)
         else:
             work = self._data.tolist()
             _maxplus_sweep_scalar(work, work, work, self.limit)
@@ -340,41 +357,95 @@ class DistMatrix(_LaneMatrix):
 #   over the tile instead of three;
 # - otherwise gather the hit rows, combine them with the candidate and
 #   scatter them back, which costs less than touching every row.
+#
+# A closure on the vector path is planned first (_maxplus_close). The
+# support's Boolean closure bounds the saturated closure's support, because a
+# lane is nonzero only where a path exists. The plan has four parts:
+#
+# - Strongly connected test: breadth-first searches from vertex 0 along the
+#   packed support and its transpose. If both reach every vertex, the
+#   Boolean closure is all ones, every span would be full, and the plain
+#   blocked sweep above runs unchanged.
+# - Order (_reach_order): the support is closed in place by the Four Russians
+#   sweep. The order is the reverse postorder of a depth-first search along
+#   the closure's rows, with roots taken in ascending in-reach count, so
+#   sources come first (Purdom 1970, Tarjan 1972). Each strongly connected
+#   component's vertices then gather at its first vertex's place, in their
+#   input order. The components stay in topological order, so a row's
+#   reachable columns tend to follow it in one run.
+# - Relabel in place (_permute): columns move _BLOCK rows at a time through
+#   one buffer, then rows move along the permutation's cycles. A closure
+#   commutes with relabelling rows and columns together, so the relabelled
+#   closure is exact. The inverse order restores the labels the same way.
+# - Spans: the blocked sweep takes blocks of _BLOCK at every size. After a
+#   block's pivot phase, _pivot_spans finds each pivot row's nonzero span
+#   [a, b) in one pass. A tile step then works on tile[:, a:b] and
+#   row_k[a:b], with scratch carved from the tile buffer. This is exact: a
+#   column where row_k is 0 gets the candidate subsat(0, .) = 0, which
+#   changes nothing. The pivot rows do not change while the tiles run, so a
+#   block's spans hold for all its tiles. A block's hits are still counted
+#   per step, because earlier steps of the block fill zeros in.
 
 _BLOCK = 128
 _TILE_BYTES = 512 * 1024
 _TABLE_ROW_BYTES = 2048  # shorter rows save less than sorting the column costs
 
 
-def _maxplus_sweep(out, left, right, limit):
+def _maxplus_sweep(out, left, right, limit, spanned=False):
     rows, steps = out.shape[0], right.shape[0]
     height = max(1, _TILE_BYTES // out[0].nbytes)
-    block = _BLOCK if rows > height else steps  # one tile gains nothing from blocks
+    block = _BLOCK if rows > height or spanned else steps  # one tile gains nothing from blocks
+    if spanned:  # a closure's tiles never hold the block's pivot rows
+        height = min(height, max(1, rows - block))
     buf = np.empty((min(rows, max(height, block)), out.shape[1]), out.dtype)  # a tile or the pivot rows
     for k0 in range(0, steps, block):
         ks = range(k0, min(k0 + block, steps))
-        spans = ((0, rows),)
+        parts, spans = ((0, rows),), None
         if out is right:
             _sweep_rows(out, left, right, limit, ks.start, ks.stop, ks, buf)
-            spans = ((0, ks.start), (ks.stop, rows))
-        for first, end in spans:
+            parts = ((0, ks.start), (ks.stop, rows))
+            if spanned and block < rows:
+                spans = _pivot_spans(right[ks.start : ks.stop], buf)
+        for first, end in parts:
             for lo in range(first, end, height):
-                _sweep_rows(out, left, right, limit, lo, min(lo + height, end), ks, buf)
+                _sweep_rows(out, left, right, limit, lo, min(lo + height, end), ks, buf, spans)
 
 
-def _sweep_rows(out, left, right, limit, lo, hi, ks, buf):
+def _sweep_rows(out, left, right, limit, lo, hi, ks, buf, spans=None):
     """Run steps ``ks`` in order on rows lo:hi of ``out``, using ``buf``
-    (at least hi - lo rows) as scratch."""
+    (at least hi - lo rows) as scratch. With ``spans``, the [a, b) of each
+    step's pivot row, a step touches only columns a:b."""
     tile = out[lo:hi]
     rows = hi - lo
     for k in ks:
+        if spans is not None:
+            a, b = spans[k - ks.start]
+            if a == b:
+                continue
         column = left[lo:hi, k]
         hits = np.count_nonzero(column)
+        if not hits:
+            continue
+        part, row_k, scratch = tile, right[k], buf
+        if spans is not None:
+            part, row_k = tile[:, a:b], row_k[a:b]
+            scratch = buf.reshape(-1)[: rows * (b - a)].reshape(rows, b - a)
         if 2 * hits >= rows:
-            _dense_step(tile, column, right[k], limit, buf[:rows])
-        elif hits:
+            _dense_step(part, column, row_k, limit, scratch[:rows])
+        else:
             hit = (column != 0).nonzero()[0]  # a contiguous mask: faster than the strided column
-            _gather_step(tile, hit, column[hit], right[k], limit, buf)
+            _gather_step(part, hit, column[hit], row_k, limit, scratch)
+
+
+def _pivot_spans(pivots, buf):
+    """The [a, b) of each pivot row's nonzero columns, as a list of pairs;
+    (0, 0) for a row of zeros. ``buf`` (at least as many bytes as ``pivots``
+    has entries) holds the nonzero mask."""
+    nonzero = buf.reshape(-1).view(bool)[: pivots.size].reshape(pivots.shape)
+    np.not_equal(pivots, 0, out=nonzero)
+    first = nonzero.argmax(axis=1)
+    end = np.where(nonzero.any(axis=1), nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+    return list(zip(first.tolist(), end.tolist()))
 
 
 def _dense_step(tile, column, row_k, limit, cand):
@@ -410,7 +481,10 @@ def _gather_step(tile, hit, entries, row_k, limit, buf):
     gap = (limit - entries)[:, None]
     np.maximum(row_k, gap, out=cand)
     cand -= gap
-    tile.take(hit, axis=0, out=rows, mode="clip")  # indices are in range; no out buffering
+    if tile.flags.c_contiguous:
+        tile.take(hit, axis=0, out=rows, mode="clip")  # indices are in range; no out buffering
+    else:
+        rows[...] = tile[hit]  # take would first copy the whole strided tile
     np.maximum(rows, cand, out=rows)
     tile[hit] = rows
 
@@ -423,3 +497,153 @@ def _maxplus_sweep_scalar(out, left, right, limit):
                 gap = limit - e
                 row = out[r]
                 row[:] = [v if (v := x - gap) > p else p for x, p in zip(row_k, row)]
+
+
+# -- closure plan ------------------------------------------------------------
+
+
+def _maxplus_close(data, limit):
+    """Max-plus closure of the square lane matrix ``data`` in place."""
+    n = data.shape[0]
+    height = max(1, _TILE_BYTES // data[0].nbytes)
+    support = np.empty((n, _block_count(n)), np.uint64)
+    for lo in range(0, n, height):
+        support[lo : lo + height] = _pack_bits(data[lo : lo + height] != 0)
+    if _reaches_all(support) and _reaches_all(_transpose_bits(support)):
+        del support
+        _maxplus_sweep(data, data, data, limit)
+        return
+    _table_sweep(support, support, support)  # now row i holds the vertices i reaches
+    order = _reach_order(support)
+    del support
+    _permute(data, order)
+    try:
+        _maxplus_sweep(data, data, data, limit, spanned=True)
+    finally:
+        _permute(data, np.argsort(order))
+
+
+def _reaches_all(blocks):
+    """Whether a breadth-first search from vertex 0 along the packed rows
+    ``blocks`` of a square Boolean matrix reaches every vertex."""
+    n = blocks.shape[0]
+    reached = np.zeros(n, bool)
+    reached[0] = True
+    frontier = np.zeros(1, np.intp)
+    while frontier.size:
+        step = _unpack_bits(np.bitwise_or.reduce(blocks[frontier], axis=0, keepdims=True), n)[0]
+        frontier = np.flatnonzero((step != 0) & ~reached)
+        reached[frontier] = True
+    return bool(reached.all())
+
+
+_TRANSPOSE_8X8 = tuple(  # (shift, mask) of the three swaps that transpose an 8x8 bit block
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
+def _transpose_bits(blocks):
+    """The packed rows of the transpose of the square Boolean matrix held in
+    the packed rows ``blocks``, made one word column at a time.
+
+    The 64 rows of word column w hold 8 x words blocks of 8x8 bits. Each
+    block is one 64-bit word (byte r holds row r), transposed in place by
+    three masked swaps; block (I, J) then becomes byte I of word w in rows
+    8J to 8J + 7 of the transpose.
+    """
+    n, words = blocks.shape
+    side = 8 * words  # bytes per row
+    raw = blocks.astype("<u8", copy=False).view(np.uint8)
+    band = np.zeros((BLOCK_BITS, side), np.uint8)
+    out = np.empty_like(blocks)
+    for w in range(words):
+        rows = raw[BLOCK_BITS * w : BLOCK_BITS * (w + 1)]
+        band[: len(rows)] = rows
+        band[len(rows) :] = 0
+        cells = np.ascontiguousarray(band.reshape(8, 8, side).transpose(0, 2, 1)).view("<u8")
+        for shift, mask in _TRANSPOSE_8X8:
+            swap = (cells ^ (cells >> shift)) & mask
+            cells ^= swap ^ (swap << shift)
+        word = np.ascontiguousarray(cells.reshape(8, side).T).view(np.uint8).reshape(side, 8, 8)
+        out[:, w] = np.ascontiguousarray(word.transpose(0, 2, 1)).view("<u8").reshape(-1)[:n]
+    return out
+
+
+def _reach_order(closure):
+    """Vertex order for the closure sweep of a graph, as an index array,
+    from the packed rows of the graph's Boolean closure.
+
+    The reverse postorder of a depth-first search along the closure's rows,
+    which reaches from each root what a search of the graph would. Roots are
+    taken in ascending in-reach order, so sources come first. Then the
+    vertices of each strongly connected component gather at the place of its
+    first one, in their own order.
+    """
+    n = closure.shape[0]
+    in_reach = np.zeros(n, np.intp)
+    for lo in range(0, n, _BLOCK):
+        in_reach += _unpack_bits(closure[lo : lo + _BLOCK], n).sum(axis=0, dtype=np.intp)
+
+    bits = memoryview(closure.astype("<u8", copy=False)).cast("B")
+    size = closure.shape[1] * 8
+    unvisited = (1 << n) - 1
+    post = []
+    for root in np.argsort(in_reach, kind="stable").tolist():
+        if not unvisited >> root & 1:
+            continue
+        unvisited ^= 1 << root
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            free = int.from_bytes(bits[v * size : (v + 1) * size], "little") & unvisited
+            if free:
+                low = free & -free
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                post.append(stack.pop())
+    place = np.empty(n, np.intp)
+    place[post] = np.arange(n - 1, -1, -1)
+
+    # Vertices on a cycle share a component exactly when their closure rows
+    # are equal; any other vertex is a component of its own.
+    ranked = np.lexsort(closure.T)
+    rows = closure[ranked]
+    starts = np.ones(n, bool)
+    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    del rows
+    component = np.empty(n, np.intp)
+    component[ranked] = np.cumsum(starts)
+    vertex = np.arange(n)
+    on_cycle = (closure[vertex, vertex >> 6] >> (vertex & 63).astype(np.uint64)) & np.uint64(1)
+    component = np.where(on_cycle != 0, component, n + 1 + vertex)
+    first = np.full(2 * n + 1, n)
+    np.minimum.at(first, component, place)
+    return np.lexsort((vertex, first[component]))
+
+
+def _permute(data, order):
+    """Relabel square ``data`` in place: entry (i, j) becomes the entry
+    (order[i], order[j]). Columns move _BLOCK rows at a time through one
+    buffer, then rows move along the permutation's cycles."""
+    n = data.shape[0]
+    buf = np.empty((min(n, _BLOCK), n), data.dtype)
+    for lo in range(0, n, _BLOCK):
+        rows = data[lo : lo + _BLOCK]
+        np.take(rows, order, axis=1, out=buf[: rows.shape[0]])
+        rows[...] = buf[: rows.shape[0]]
+    row = buf[0]
+    order = order.tolist()
+    done = bytearray(n)
+    for start in range(n):
+        if done[start]:
+            continue
+        row[...] = data[start]
+        i = start
+        while order[i] != start:
+            done[i] = 1
+            data[i] = data[order[i]]
+            i = order[i]
+        done[i] = 1
+        data[i] = row

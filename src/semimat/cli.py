@@ -5,6 +5,7 @@ and a scalar-versus-vector benchmark.
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the identity (only with --bool)")
     p.add_argument("--dist", action="store_true",
                    help="emit a plain distance matrix via the min-plus closure")
+    p.add_argument("--timings", action="store_true",
+                   help="print the wall time of each stage to stderr")
     _output_args(p)
 
     p = sub.add_parser("multiply", help="product of two matrix files")
@@ -75,20 +78,35 @@ def cmd_closure(args) -> int:
         raise ValueError("--bool and --dist are mutually exclusive")
     if args.reflexive and not args.as_bool:
         raise ValueError("--reflexive is only valid with --bool")
-    # Both keep the peak RSS down: _adjacency frees the parsed edge list
-    # before the sweep, and the adjacency is a temporary, never held across
-    # _emit.
-    if args.reflexive:
-        result = _adjacency(args).reflexive_transitive_closure()
-    else:
-        result = _adjacency(args).transitive_closure()
-    _emit(result, args.output, args.binary)
+    with _stage("parse", args.timings):
+        spec = graphio.parse_edge_list(Path(args.graph).read_text())
+    with _stage("adjacency", args.timings):
+        adjacency = _adjacency(spec, args)
+    # Both keep the peak RSS down: the parsed edge list is freed before the
+    # sweep, and the adjacency before the output.
+    del spec
+    with _stage("closure", args.timings):
+        if args.reflexive:
+            result = adjacency.reflexive_transitive_closure()
+        else:
+            result = adjacency.transitive_closure()
+    del adjacency
+    with _stage("serialize", args.timings):
+        _emit(result, args.output, args.binary)
     return 0
 
 
-def _adjacency(args):
-    """Adjacency matrix of the graph file, as the closure options ask."""
-    spec = graphio.parse_edge_list(Path(args.graph).read_text())
+@contextmanager
+def _stage(name, report):
+    """Time the block and, if ``report``, print its wall time to stderr."""
+    start = time.perf_counter()
+    yield
+    if report:
+        print(f"timing stage={name} seconds={time.perf_counter() - start:.6f}", file=sys.stderr)
+
+
+def _adjacency(spec, args):
+    """Adjacency matrix of the parsed graph, as the closure options ask."""
     if args.as_bool:
         return graphio.bool_adjacency(spec)
     build = graphio.dist_adjacency if args.dist else graphio.antidist_adjacency

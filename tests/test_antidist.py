@@ -589,9 +589,9 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     runs = []
     real = antidist._sweep_rows
 
-    def spy(out, left, right, limit, lo, hi, ks, buf):
+    def spy(out, left, right, limit, lo, hi, ks, buf, spans=None):
         runs.append((lo, hi, ks))
-        real(out, left, right, limit, lo, hi, ks, buf)
+        real(out, left, right, limit, lo, hi, ks, buf, spans)
 
     monkeypatch.setattr(antidist, "_sweep_rows", spy)
     return runs
@@ -741,6 +741,166 @@ def test_dense_step_with_few_and_many_distinct_entries(width, monkeypatch):
         got = tile.copy()
         antidist._dense_step(got, column, row_k, limit, np.empty_like(got))
         assert got.tolist() == want
+
+
+# -- closure plan: order, spans and the strongly connected skip ----------------
+
+SHAPES = ("sccs", "chain", "dag", "strongly connected")
+
+
+def shaped_graph(rng, shape, dim):
+    """Weighted edges of a graph of the given shape on relabelled vertices:
+    several strongly connected components joined one way, one path through
+    every vertex, an acyclic graph, or a cycle through every vertex with
+    chords."""
+    label = list(range(dim))
+    rng.shuffle(label)
+    if shape == "sccs":
+        part = [4 * v // dim for v in range(dim)]
+        pairs = [
+            (u, v) for u in range(dim) for v in range(dim)
+            if u != v and rng.random() < (0.3 if part[u] == part[v] else 0.03 if part[u] < part[v] else 0)
+        ]
+    elif shape == "chain":
+        pairs = [(v, v + 1) for v in range(dim - 1)]
+    elif shape == "dag":
+        pairs = [(u, v) for u in range(dim) for v in range(u + 1, dim) if rng.random() < 0.15]
+    else:
+        pairs = [(v, (v + 1) % dim) for v in range(dim)]
+        pairs += [(u, v) for u in range(dim) for v in range(dim) if u != v and rng.random() < 0.05]
+    return [(label[u], label[v], rng.randint(1, 12)) for u, v in pairs]
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named module functions of antidist; each call's
+    result is kept too."""
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(antidist, name)
+
+        def spy(*args, real=real, name=name):
+            result = real(*args)
+            calls[name].append(result)
+            return result
+
+        monkeypatch.setattr(antidist, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_planned_closure_on_graph_shapes(shape, width, monkeypatch):
+    """Closures of graphs with several components, paths, acyclic graphs and
+    strongly connected graphs equal Dijkstra and the scalar path, for both
+    matrix types; only the strongly connected one skips the order."""
+    rng = random.Random(f"plan-{shape}-{width}")
+    dim = 43
+    edges = shaped_graph(rng, shape, dim)
+    anti = AntidistMatrix.from_edges(dim, edges, width)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
+    shrink_sweep(monkeypatch, width, dim)
+    calls = count_calls(monkeypatch, "_reach_order")
+    for m, closed in ((anti, want), (~anti, ~want)):
+        inplace = m.copy()
+        inplace.transitive_close()
+        assert inplace == closed
+        assert m.transitive_closure() == closed
+        with kernels.forced_scalar():
+            assert m.transitive_closure() == closed
+    assert len(calls["_reach_order"]) == (0 if shape == "strongly connected" else 4)
+
+
+def test_strongly_connected_closure_skips_the_plan(monkeypatch):
+    """A strongly connected graph runs the plain blocked sweep: no order, no
+    permutation and no spans. A graph with a source takes all three."""
+    rng = random.Random("skip")
+    dim = 40
+    cycle = shaped_graph(rng, "strongly connected", dim)
+    shrink_sweep(monkeypatch, 8, dim)
+    calls = count_calls(monkeypatch, "_reach_order", "_permute", "_pivot_spans")
+    m = AntidistMatrix.from_edges(dim, cycle, 8)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, cycle, 255), 8)
+    assert m.transitive_closure() == want
+    assert all(not made for made in calls.values())
+    source = [(u, v, w) for u, v, w in cycle if v != 0]  # nothing reaches vertex 0 now
+    m = AntidistMatrix.from_edges(dim, source, 8)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, source, 255), 8)
+    assert m.transitive_closure() == want
+    assert [len(made) for made in calls.values()] == [1, 2, 6]  # 6 blocks of 7 steps
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_chain_spans(width, monkeypatch):
+    """On a path through relabelled vertices the order follows the path, and
+    after a block's pivot phase pivot row k reaches exactly the columns
+    k + 1 up to one past the block: a step touches only that span."""
+    rng = random.Random(f"chain-{width}")
+    dim, block = 30, 7
+    label = list(range(dim))
+    rng.shuffle(label)
+    edges = [(label[v], label[v + 1], rng.randint(1, 5)) for v in range(dim - 1)]
+    m = AntidistMatrix.from_edges(dim, edges, width)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
+    shrink_sweep(monkeypatch, width, dim, block)
+    calls = count_calls(monkeypatch, "_reach_order", "_pivot_spans")
+    assert m.transitive_closure() == want
+    assert calls["_reach_order"][0].tolist() == label
+    spans = [
+        [(k + 1, min(k0 + block + 1, dim)) if k + 1 < dim else (0, 0) for k in range(k0, min(k0 + block, dim))]
+        for k0 in range(0, dim, block)
+    ]
+    assert calls["_pivot_spans"] == spans
+    with kernels.forced_scalar():
+        assert m.transitive_closure() == want
+
+
+@pytest.mark.parametrize("block", (5, 128))
+@pytest.mark.parametrize("kind", ("identity", "one cycle", "2-cycles", "random"))
+def test_permutation_round_trip(kind, block, monkeypatch):
+    """The in-place relabelling equals fancy indexing, and the inverse order
+    restores the matrix."""
+    monkeypatch.setattr(antidist, "_BLOCK", block)
+    dim = 37
+    rng = np.random.default_rng(block)
+    order = {
+        "identity": np.arange(dim),
+        "one cycle": np.roll(np.arange(dim), 1),
+        "2-cycles": np.append(np.arange(dim - 1) ^ 1, dim - 1),  # swapped pairs, the last vertex fixed
+        "random": rng.permutation(dim),
+    }[kind]
+    for width in WIDTHS:
+        data = rng.integers(0, sat_limit(width) + 1, (dim, dim), dtype=kernels.dtype_for(width))
+        original = data.copy()
+        antidist._permute(data, order)
+        assert np.array_equal(data, original[order][:, order])
+        antidist._permute(data, np.argsort(order))
+        assert np.array_equal(data, original)
+
+
+def test_planned_closure_allocates_less_than_the_matrix():
+    """The order, the permutations and the spanned sweep of an n=512 w16
+    closure with many components stay below one copy of the matrix."""
+    rng = random.Random("plan-memory")
+    dim, size = 512, 32
+    edges = []
+    for c in range(dim // size):
+        members = range(c * size, (c + 1) * size)
+        edges += [(u, u + 1 if u + 1 < members.stop else members.start, rng.randint(1, 9)) for u in members]
+        edges += [(u, rng.choice(members), rng.randint(1, 9)) for u in members]
+        if (c + 1) % 8:  # two chains of eight clusters
+            edges += [(rng.choice(members), rng.randrange(members.stop, members.stop + size), 5)]
+    m = DistMatrix.from_edges(dim, edges, 16)
+    want = (~m).data.copy()
+    antidist._maxplus_sweep(want, want, want, m.limit)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m.transitive_close()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.data.nbytes
+    assert np.array_equal(m.limit - m.data, want)
 
 
 # -- paths under threads --------------------------------------------------------

@@ -1,6 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semimat
 from semimat import antidist, cli, matio
 from semimat.antidist import AntidistMatrix
 from semimat.boolmat import BoolMatrix
@@ -68,6 +76,63 @@ def test_closure_bad_graph_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, "closure", str(g), "--bool")
     assert code == 1
     assert "line 2" in err and "vertex 5" in err
+
+
+def clusters_text(seed, clusters, size):
+    """Edge list of ``clusters`` cycles of ``size`` vertices with chords, each
+    joined one way to the next: a graph of many strongly connected parts."""
+    rng = random.Random(seed)
+    lines = [f"p {clusters * size}"]
+    for c in range(clusters):
+        members = range(c * size, (c + 1) * size)
+        for u in members:
+            lines.append(f"{u} {u + 1 if u + 1 < members.stop else members.start} {rng.randint(1, 9)}")
+            lines.append(f"{u} {rng.choice(members)} {rng.randint(1, 9)}")
+        if c + 1 < clusters:
+            lines.append(f"{rng.choice(members)} {rng.randrange(members.stop, members.stop + size)} 4")
+    return "\n".join(lines) + "\n"
+
+
+def test_closure_imports_neither_numpy_ma_nor_scipy(tmp_path):
+    """A fresh CLI process that plans and runs a distance closure loads no
+    module that would add to every run's start-up."""
+    g = tmp_path / "g.txt"
+    g.write_text(clusters_text("imports", 4, 8))
+    script = (
+        "import sys\n"
+        "from semimat import cli\n"
+        f"code = cli.main(['closure', {str(g)!r}, '--dist', '--width', '16', '-o', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(semimat.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "0 []\n", done.stderr
+
+
+def test_closure_timings(tmp_path, capsys):
+    """--timings prints one line per stage to stderr; the stages cover the
+    command's run, and stdout and the output file are as without the flag."""
+    g = tmp_path / "g.txt"
+    g.write_text(clusters_text("timings", 16, 32))
+    argv = ["closure", str(g), "--dist", "--width", "16"]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    start = time.perf_counter()
+    code = cli.main([*argv, "--timings"])
+    wall = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == plain
+    lines = captured.err.splitlines()
+    assert [line.split()[1] for line in lines] == [
+        "stage=parse", "stage=adjacency", "stage=closure", "stage=serialize"
+    ]
+    assert all(line.startswith("timing stage=") for line in lines)
+    seconds = [float(line.split("seconds=")[1]) for line in lines]
+    assert 0.95 * wall <= sum(seconds) <= wall
+    for flags in ([], ["--timings"]):
+        out = tmp_path / f"out{len(flags)}.bin"
+        assert run(capsys, *argv, "--binary", "-o", str(out), *flags)[:2] == (0, "")
+    assert (tmp_path / "out0.bin").read_bytes() == (tmp_path / "out1.bin").read_bytes()
 
 
 def test_closure_matches_library(tmp_path, capsys):
