@@ -579,18 +579,30 @@ def test_closure_commutes_with_boolean_structure():
 SHARES = (0.9, 0.15, 0.0)
 
 
+class Runs(list):
+    """The (lo, hi, steps) of every row span a sweep runs, in order, and in
+    ``hits`` the rows outside the pivot rows that hit in each block's columns
+    of the left factor, by the block's first step."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = {}
+
+
 def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     """Blocks of ``block`` steps and tiles of ``tile_rows`` rows of ``cols``
-    lanes. Returns the (lo, hi, steps) of every row span the sweep runs, the
-    pivot phases included, in order."""
+    lanes. Returns the Runs of the sweep, the pivot phases included."""
     monkeypatch.setattr(antidist, "_BLOCK", block)
     monkeypatch.setattr(antidist, "_TILE_BYTES", tile_rows * cols * width // 8)
     monkeypatch.setattr(antidist, "_TABLE_ROW_BYTES", 0)  # short rows take the table too
-    runs = []
+    runs = Runs()
     real = antidist._sweep_rows
 
     def spy(out, left, right, limit, lo, hi, ks, buf, spans=None):
         runs.append((lo, hi, ks))
+        if out is not right or not lo <= ks.start < hi:
+            hit = left[lo:hi, ks.start : ks.stop].any(axis=1).nonzero()[0] + lo
+            runs.hits.setdefault(ks.start, set()).update(hit.tolist())
         real(out, left, right, limit, lo, hi, ks, buf, spans)
 
     monkeypatch.setattr(antidist, "_sweep_rows", spy)
@@ -598,10 +610,12 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
 
 
 def assert_blocks_cover_rows(runs, rows, steps, block, tile_rows, closure):
-    """Every block runs its steps once on every row: the pivot rows first in
-    a closure, then tiles of at most ``tile_rows`` rows."""
+    """Every block runs its steps on the pivot rows first in a closure, then
+    on tiles of at most ``tile_rows`` rows outside them. The tiles of a block
+    are disjoint and hold every row that hits in the block's columns; a tile
+    none of whose rows hits may be skipped."""
     starts = list(range(0, steps, block))
-    assert sorted({ks.start for _, _, ks in runs}) == starts
+    assert {ks.start for _, _, ks in runs} <= set(starts)
     for k0 in starts:
         ks = range(k0, min(k0 + block, steps))
         spans = [(lo, hi) for lo, hi, got in runs if got == ks]
@@ -610,7 +624,9 @@ def assert_blocks_cover_rows(runs, rows, steps, block, tile_rows, closure):
             assert spans[0] == (ks.start, ks.stop)
             assert all(hi <= ks.start or lo >= ks.stop for lo, hi in tiles)
         assert all(hi - lo <= tile_rows for lo, hi in tiles)
-        assert sorted(r for lo, hi in spans for r in range(lo, hi)) == list(range(rows))
+        covered = [r for lo, hi in sorted(set(tiles)) for r in range(lo, hi)]
+        assert len(covered) == len(set(covered)) and set(covered) <= set(range(rows))
+        assert runs.hits.get(k0, set()) <= set(covered)
 
 
 def count_branches(monkeypatch):
