@@ -28,15 +28,20 @@ A product and a closure run the same max-plus outer-product sweep, one per
 path; the closure is the product with the matrix passed as output and both
 factors, swept in place. The vector path is blocked: it takes the steps in
 blocks of 128 (``_BLOCK``), and each row tile of about 512 KiB
-(``_TILE_BYTES``) runs all of a block's steps while it stays in L2, after a
-closure has run them on the block's own pivot rows. Within a tile, a step
-whose column hits fewer than half the tile's rows gathers and updates just
-those rows, and a denser step updates the whole tile in place. The scalar
-path is the plain unblocked sweep.
+(``_TILE_BYTES``) runs all of a block's steps while it stays in L2. A
+closure first runs the block's steps in order on the block's own pivot rows,
+which closes them over the block; the rest of the block is then a product of
+the block's columns with the pivot rows. So every block has a fixed left
+panel, and its step decisions are planned once: the hits of each tile in
+each step, and for the steps with few distinct entries a table of one
+candidate row per entry. A tile step then skips, gathers the rows that hit,
+takes its candidates from the table, or broadcasts one candidate per row.
+The scalar path is the plain unblocked sweep.
 
-A vector closure is planned from the matrix's support (its nonzero entries
-as packed bits). If the support is strongly connected, the plain blocked
-sweep runs. Otherwise the vertices are relabelled in reachability order, a
+A vector closure that fits in one tile runs the in-order sweep on all rows.
+A larger one is planned from the matrix's support (its nonzero entries as
+packed bits). If the support is strongly connected, the plain blocked sweep
+runs. Otherwise the vertices are relabelled in reachability order, a
 depth-first order read with the Boolean closure. The matrix is permuted in
 place, and the blocked sweep runs with spans: each tile step touches only
 the columns between its pivot row's first and last nonzero entries. Then the
@@ -335,32 +340,48 @@ class DistMatrix(_LaneMatrix):
 # The vector form is blocked (Venkataraman, Sahni & Mukhopadhyaya, "A Blocked
 # All-Pairs Shortest-Paths Algorithm", ACM JEA 8, 2003). It takes the steps in
 # blocks of _BLOCK. A closure first runs the block's steps in order on the
-# block's own pivot rows; then every other row tile of about _TILE_BYTES runs
-# all the block's steps in order while it stays in L2. A tile step reads only
-# the tile and the pivot rows. In a closure it may read a pivot row that
-# later steps of the block already improved; that only adds valid paths, and
-# the saturated closure is the unique fixpoint, so the result is the
-# unblocked sweep's. A product has no pivot phase, and a matrix that fits in
-# one tile is swept in a single block.
+# block's own pivot rows (_sweep_rows), which closes those rows over the
+# block. Every other row then takes, in one product, the block's columns of
+# the matrix as they were before the block times the closed pivot rows: a
+# path through the block enters it at a first pivot vertex k, so the entry
+# (i, k) and the closed pivot row k cover it. The saturated closure is the
+# unique fixpoint, so the result is the unblocked sweep's. A product is that
+# same second phase with no pivot phase, and a matrix that fits in one tile
+# is a single block.
 #
-# Per tile step, by the hits in the tile's slice of column k:
+# The left panel of a block's product is fixed while it runs, so
+# _sweep_block plans the block once, in whole-array calls: a transposed copy
+# of the panel; the hits of each (tile, step), one count_nonzero per tile of
+# about _TILE_BYTES; and the distinct entries of each step that is dense in
+# some tile (_few_distinct), by one bincount of entry + 256 * step at width 8
+# and by a sort at wider widths. A step with at most a quarter as many
+# distinct entries as a tile has rows gets a table of its candidate rows
+# subsat(right[k], S - e), one per distinct entry e, and the rank of each
+# row's entry in it (the Four Russians idea of one table per block,
+# Arlazarov et al. 1970). The table steps are grouped so that one group's
+# tables fit in a tile. Then each tile runs the group's steps in order
+# (_sweep_tile), each by one of four branches:
 #
-# - no hits: skip the step;
-# - at least half the tile's rows hit: update the tile in place. This is
-#   exact: a missed row's candidate is 0, which leaves it as it was. Step k
-#   never changes row k or column k (subsat(x, S - e) <= x), so no row reads
-#   a value the same step wrote. A row's candidate depends only on its entry,
-#   and closures of graphs with small weights hold few distinct entries per
-#   column, so when rows of at least _TABLE_ROW_BYTES have at most a quarter
-#   as many distinct entries in the tile's column as the tile has rows, the
-#   step builds one candidate per distinct entry and gathers them: two passes
-#   over the tile instead of three;
-# - otherwise gather the hit rows, combine them with the candidate and
-#   scatter them back, which costs less than touching every row.
+# - no hits: skip the step, and a tile with no hit in the group is not
+#   visited;
+# - fewer than half the tile's rows hit: gather the hit rows, combine them
+#   with their candidates and scatter them back;
+# - a table: one take of the candidate rows by rank and one maximum;
+# - otherwise broadcast: build one candidate row per row and take the
+#   maximum, three passes over the tile.
 #
-# A closure on the vector path is planned first (_maxplus_close). The
-# support's Boolean closure bounds the saturated closure's support, because a
-# lane is nonzero only where a path exists. The plan has four parts:
+# The last two update the tile in place. This is exact: a missed row's
+# candidate is 0, which leaves it as it was, and no tile holds a pivot row.
+#
+# A closure that fits in one tile runs _sweep_rows on all its rows, half a
+# tile at a time so that the rows and their candidates fit in a tile. Step k
+# never changes row k or column k (subsat(x, S - e) <= x), so no row reads a
+# value the same step wrote.
+#
+# A closure on the vector path that does not fit in one tile is planned first
+# (_maxplus_close). The support's Boolean closure bounds the saturated
+# closure's support, because a lane is nonzero only where a path exists. The
+# plan has four parts:
 #
 # - Strongly connected test: breadth-first searches from vertex 0 along the
 #   packed support and its transpose. If both reach every vertex, the
@@ -372,69 +393,184 @@ class DistMatrix(_LaneMatrix):
 #   sources come first (Purdom 1970, Tarjan 1972). Each strongly connected
 #   component's vertices then gather at its first vertex's place, in their
 #   input order. The components stay in topological order, so a row's
-#   reachable columns tend to follow it in one run.
+#   reachable columns tend to follow it in one run, and rows that reach no
+#   pivot of a block leave their tiles without a hit.
 # - Relabel in place (_permute): columns move _BLOCK rows at a time through
 #   one buffer, then rows move along the permutation's cycles. A closure
 #   commutes with relabelling rows and columns together, so the relabelled
 #   closure is exact. The inverse order restores the labels the same way.
 # - Spans: the blocked sweep takes blocks of _BLOCK at every size. After a
 #   block's pivot phase, _pivot_spans finds each pivot row's nonzero span
-#   [a, b) in one pass. A tile step then works on tile[:, a:b] and
-#   row_k[a:b], with scratch carved from the tile buffer. This is exact: a
-#   column where row_k is 0 gets the candidate subsat(0, .) = 0, which
-#   changes nothing. The pivot rows do not change while the tiles run, so a
-#   block's spans hold for all its tiles. A block's hits are still counted
-#   per step, because earlier steps of the block fill zeros in.
+#   [a, b) in one pass. A tile step and its table then work on columns a:b
+#   only, with scratch carved from the tile buffer. This is exact: a column
+#   where row_k is 0 gets the candidate subsat(0, .) = 0, which changes
+#   nothing. The pivot rows do not change while the tiles run, so a block's
+#   spans hold for all its tiles.
 
 _BLOCK = 128
 _TILE_BYTES = 512 * 1024
-_TABLE_ROW_BYTES = 2048  # shorter rows save less than sorting the column costs
+_GATHER, _TABLE, _BROADCAST = 1, 2, 3  # a tile step's branch; 0 skips the step
 
 
 def _maxplus_sweep(out, left, right, limit, spanned=False):
     rows, steps = out.shape[0], right.shape[0]
     height = max(1, _TILE_BYTES // out[0].nbytes)
     block = _BLOCK if rows > height or spanned else steps  # one tile gains nothing from blocks
-    if spanned:  # a closure's tiles never hold the block's pivot rows
+    if out is right:  # a closure's tiles never hold the block's pivot rows
         height = min(height, max(1, rows - block))
     buf = np.empty((min(rows, max(height, block)), out.shape[1]), out.dtype)  # a tile or the pivot rows
     for k0 in range(0, steps, block):
         ks = range(k0, min(k0 + block, steps))
         parts, spans = ((0, rows),), None
         if out is right:
-            _sweep_rows(out, left, right, limit, ks.start, ks.stop, ks, buf)
+            _sweep_rows(out, ks, limit, buf)
             parts = ((0, ks.start), (ks.stop, rows))
             if spanned and block < rows:
                 spans = _pivot_spans(right[ks.start : ks.stop], buf)
-        for first, end in parts:
-            for lo in range(first, end, height):
-                _sweep_rows(out, left, right, limit, lo, min(lo + height, end), ks, buf, spans)
+        _sweep_block(out, left, right, limit, ks, parts, height, buf, spans)
 
 
-def _sweep_rows(out, left, right, limit, lo, hi, ks, buf, spans=None):
-    """Run steps ``ks`` in order on rows lo:hi of ``out``, using ``buf``
-    (at least hi - lo rows) as scratch. With ``spans``, the [a, b) of each
-    step's pivot row, a step touches only columns a:b."""
-    tile = out[lo:hi]
-    rows = hi - lo
+def _sweep_rows(out, ks, limit, buf):
+    """Run steps ``ks`` in order on rows ``ks`` of ``out``, ``len(buf)`` rows
+    at a time: a closure's pivot phase, where each step reads what the
+    earlier ones wrote."""
+    height = len(buf)
     for k in ks:
-        if spans is not None:
-            a, b = spans[k - ks.start]
-            if a == b:
-                continue
-        column = left[lo:hi, k]
-        hits = np.count_nonzero(column)
-        if not hits:
-            continue
-        part, row_k, scratch = tile, right[k], buf
-        if spans is not None:
-            part, row_k = tile[:, a:b], row_k[a:b]
-            scratch = buf.reshape(-1)[: rows * (b - a)].reshape(rows, b - a)
-        if 2 * hits >= rows:
-            _dense_step(part, column, row_k, limit, scratch[:rows])
+        for lo in range(ks.start, ks.stop, height):
+            tile = out[lo : min(lo + height, ks.stop)]
+            column = tile[:, k]
+            hits = np.count_nonzero(column)
+            if 2 * hits >= len(tile):
+                _broadcast_step(tile, column, out[k], limit, buf[: len(tile)])
+            elif hits:
+                hit = (column != 0).nonzero()[0]  # a contiguous mask: faster than the strided column
+                _gather_step(tile, hit, column[hit], out[k], limit, buf)
+
+
+def _sweep_block(out, left, right, limit, ks, parts, height, buf, spans=None):
+    """Fold steps ``ks`` into the rows ``parts`` of ``out``, tiles of at most
+    ``height`` rows, with the block's columns of ``left`` fixed meanwhile.
+    With ``spans``, the [a, b) of each step's row of ``right``, a step touches
+    only columns a:b."""
+    tiles = [(lo, min(lo + height, end)) for first, end in parts for lo in range(first, end, height)]
+    if not tiles:
+        return
+    panel = left[:, ks.start : ks.stop].copy().T.copy()  # row k - ks.start is column k
+    right = right[ks.start : ks.stop]
+    hits = np.array([np.count_nonzero(panel[:, lo:hi], axis=1) for lo, hi in tiles])
+    if spans is not None:
+        hits[:, [a == b for a, b in spans]] = 0
+    dense = 2 * hits >= np.array([hi - lo for lo, hi in tiles])[:, None]
+    branch = np.where(dense, _BROADCAST, np.where(hits != 0, _GATHER, 0))
+    most = max(hi - lo for lo, hi in tiles) // 4  # distinct entries a table may hold
+    tabled, counts, entries, ranks = _few_distinct(panel, np.flatnonzero(dense.any(axis=0)), most)
+    table_step = np.zeros(len(ks), bool)
+    table_step[tabled] = True
+    branch[dense & table_step] = _TABLE
+
+    # Group the table steps so that one group's candidate rows fit in a tile.
+    widths = [right.shape[1] if spans is None else spans[k][1] - spans[k][0] for k in tabled]
+    cap = _TILE_BYTES // out.itemsize
+    bounds, total = [0], 0
+    for i, lanes in enumerate(map(int.__mul__, counts, widths)):
+        if total + lanes > cap:
+            bounds.append(i)
+            total = 0
+        total += lanes
+    bounds.append(len(tabled))
+    starts = np.cumsum([0] + counts).tolist()  # of each table step's entries
+    store = np.empty(min(cap, starts[-1] * right.shape[1]), out.dtype)
+
+    for i0, i1 in zip(bounds, bounds[1:]):
+        tables, used = {}, 0
+        if spans is not None:  # a table per step, of its span's columns
+            for i in range(i0, i1):
+                a, b = spans[tabled[i]]
+                gap = (limit - entries[starts[i] : starts[i + 1]])[:, None]
+                table = store[used : used + gap.size * (b - a)].reshape(gap.size, b - a)
+                used += table.size
+                np.maximum(right[tabled[i], a:b], gap, out=table)
+                table -= gap
+                tables[tabled[i]] = table, ranks[i]
+        elif i0 < i1:  # the group's candidate rows as one table
+            gap = (limit - entries[starts[i0] : starts[i1]])[:, None]
+            table = store[: gap.size * right.shape[1]].reshape(gap.size, right.shape[1])
+            right.take(np.repeat(tabled[i0:i1], counts[i0:i1]), axis=0, out=table, mode="clip")
+            np.maximum(table, gap, out=table)
+            table -= gap
+            for i in range(i0, i1):
+                tables[tabled[i]] = table[starts[i] - starts[i0] : starts[i + 1] - starts[i0]], ranks[i]
+        g0 = tabled[i0] if i0 else 0
+        g1 = tabled[i1] if i1 < len(tabled) else len(ks)
+        for (lo, hi), plan in zip(tiles, branch[:, g0:g1]):
+            todo = plan.nonzero()[0]
+            if todo.size:
+                steps = zip((todo + g0).tolist(), plan[todo].tolist())
+                _sweep_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans)
+
+
+def _few_distinct(panel, steps, most):
+    """The rows ``steps`` of ``panel`` that hold at most ``most`` distinct
+    entries. Returns their indices and their counts of distinct entries, as
+    lists; their distinct entries, row after row and each row's in
+    increasing order, as one array; and for each of them the rank of every
+    entry among its row's distinct entries, a row of the panel's dtype.
+
+    At width 8 one bincount of the keys entry + 256 * row counts the entries
+    of many rows at once. Wider rows are sorted, and one search of the
+    distinct entries tagged with their row ranks every entry.
+    """
+    found, counts, distinct, ranks = [], [], [], []
+    chunk = max(1, _TILE_BYTES // (32 * panel.shape[1]))  # rows whose int64 keys fill a quarter tile
+    for c0 in range(0, steps.size, chunk):
+        rows = steps[c0 : c0 + chunk]
+        part = panel.take(rows, axis=0)
+        if part.dtype == np.uint8:
+            keys = part.astype(np.intp)
+            keys += np.arange(0, rows.size << 8, 256)[:, None]
+            present = np.bincount(keys.reshape(-1), minlength=rows.size << 8).reshape(-1, 256) != 0
+            count = present.sum(axis=1)
+            few = np.flatnonzero(count <= most)
+            distinct.append(present[few].nonzero()[1].astype(np.uint8))
+            ranks += list((present.cumsum(axis=1) - 1).astype(np.uint8).reshape(-1).take(keys[few]))
         else:
-            hit = (column != 0).nonzero()[0]  # a contiguous mask: faster than the strided column
-            _gather_step(part, hit, column[hit], row_k, limit, scratch)
+            ordered = np.sort(part, axis=1)
+            new = np.ones(part.shape, bool)
+            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+            count = new.sum(axis=1)
+            few = np.flatnonzero(count <= most)
+            distinct.append(ordered[few][new[few]])  # row after row, increasing
+            tags = np.arange(few.size, dtype=np.uint64) << np.uint64(8 * part.itemsize)
+            keys = part[few].astype(np.uint64)
+            keys |= tags[:, None]
+            rank = (np.repeat(tags, count[few]) | distinct[-1]).searchsorted(keys)
+            rank -= (np.cumsum(count[few]) - count[few])[:, None]
+            ranks += list(rank.astype(part.dtype))
+        found += rows[few].tolist()
+        counts += count[few].tolist()
+    entries = np.concatenate(distinct) if distinct else np.empty(0, panel.dtype)
+    return found, counts, entries, ranks
+
+
+def _sweep_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
+    """Run ``steps``, (step, branch) pairs in order, on rows lo:hi of ``out``."""
+    tile = out[lo:hi]
+    size = hi - lo
+    for k, branch in steps:
+        part, row_k, cand = tile, right[k], buf[:size]
+        if spans is not None:
+            a, b = spans[k]
+            part, row_k = tile[:, a:b], row_k[a:b]
+            cand = buf.reshape(-1)[: size * (b - a)].reshape(size, b - a)
+        if branch == _TABLE:
+            table, ranks = tables[k]
+            _table_step(part, table, ranks[lo:hi], cand)
+        elif branch == _BROADCAST:
+            _broadcast_step(part, panel[k, lo:hi], row_k, limit, cand)
+        else:
+            column = panel[k, lo:hi]
+            hit = column.nonzero()[0]
+            _gather_step(part, hit, column[hit], row_k, limit, cand)
 
 
 def _pivot_spans(pivots, buf):
@@ -448,31 +584,16 @@ def _pivot_spans(pivots, buf):
     return list(zip(first.tolist(), end.tolist()))
 
 
-def _dense_step(tile, column, row_k, limit, cand):
-    # Short rows skip the count: the column has as many entries as rows.
-    entries = _distinct(column) if row_k.nbytes >= _TABLE_ROW_BYTES else column
-    if 4 * entries.size <= column.size:
-        gap = (limit - entries)[:, None]
-        table = np.maximum(row_k, gap)
-        table -= gap
-        table.take(entries.searchsorted(column), axis=0, out=cand, mode="clip")
-    else:
-        gap = (limit - column)[:, None]
-        np.maximum(row_k, gap, out=cand)
-        cand -= gap
+def _table_step(tile, table, ranks, cand):
+    table.take(ranks, axis=0, out=cand, mode="clip")  # ranks are in range; no out buffering
     np.maximum(tile, cand, out=tile)
 
 
-def _distinct(values):
-    """The distinct entries of a 1-D lane array in increasing order (np.unique
-    would import numpy.ma on its first call)."""
-    if values.dtype == np.uint8:  # counting 256 values is faster than sorting
-        return np.bincount(values, minlength=256).nonzero()[0].astype(np.uint8)
-    ordered = np.sort(values)
-    first = np.empty(ordered.size, bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
+def _broadcast_step(tile, column, row_k, limit, cand):
+    gap = (limit - column)[:, None]
+    np.maximum(row_k, gap, out=cand)
+    cand -= gap
+    np.maximum(tile, cand, out=tile)
 
 
 def _gather_step(tile, hit, entries, row_k, limit, buf):
@@ -506,6 +627,11 @@ def _maxplus_close(data, limit):
     """Max-plus closure of the square lane matrix ``data`` in place."""
     n = data.shape[0]
     height = max(1, _TILE_BYTES // data[0].nbytes)
+    if n <= height:
+        # One tile: the plan costs more than it saves. Every row is a pivot
+        # row, half a tile at a time, so rows and candidates fit in a tile.
+        _sweep_rows(data, range(n), limit, np.empty((min(n, max(1, height // 2)), n), data.dtype))
+        return
     support = np.empty((n, _block_count(n)), np.uint64)
     for lo in range(0, n, height):
         support[lo : lo + height] = _pack_bits(data[lo : lo + height] != 0)

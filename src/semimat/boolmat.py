@@ -87,6 +87,8 @@ class _Matrix:
         if len(rows) == 0 or len(rows[0]) == 0:
             raise ValueError("matrix dimensions must be positive")
         ncols = len(rows[0])
+        if isinstance(rows, np.ndarray) and rows.ndim == 2:  # rows of one length
+            return ncols
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")

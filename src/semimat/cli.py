@@ -3,6 +3,7 @@ and a scalar-versus-vector benchmark.
 """
 
 import argparse
+import functools
 import sys
 import time
 from contextlib import contextmanager
@@ -33,19 +34,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the identity (only with --bool)")
     p.add_argument("--dist", action="store_true",
                    help="emit a plain distance matrix via the min-plus closure")
-    p.add_argument("--timings", action="store_true",
-                   help="print the wall time of each stage to stderr")
+    _timings_arg(p)
     _output_args(p)
 
     p = sub.add_parser("multiply", help="product of two matrix files")
     p.add_argument("left")
     p.add_argument("right")
+    _timings_arg(p)
     _output_args(p)
 
     p = sub.add_parser("convert", help="rewrite a matrix file in another format")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--to", choices=("text", "binary"), required=True)
+    _timings_arg(p)
 
     p = sub.add_parser("bench", help="time the scalar and vector paths on random inputs")
     p.add_argument("--op", choices=("mul", "closure"), default="mul")
@@ -54,6 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def _timings_arg(p):
+    p.add_argument("--timings", action="store_true",
+                   help="print the wall time of each stage to stderr")
 
 
 def _output_args(p):
@@ -114,18 +121,27 @@ def _adjacency(spec, args):
 
 
 def cmd_multiply(args) -> int:
-    left = matio.load(args.left)
-    right = matio.load(args.right)
-    if type(left) is not type(right):
-        raise ValueError(
-            f"matrix type mismatch: {type(left).__name__} times {type(right).__name__}"
-        )
-    _emit(left * right, args.output, args.binary)
+    with _stage("load_left", args.timings):
+        left = matio.load(args.left)
+    with _stage("load_right", args.timings):
+        right = matio.load(args.right)
+    with _stage("product", args.timings):
+        if type(left) is not type(right):
+            raise ValueError(
+                f"matrix type mismatch: {type(left).__name__} times {type(right).__name__}"
+            )
+        result = left * right
+    del left, right
+    with _stage("serialize", args.timings):
+        _emit(result, args.output, args.binary)
     return 0
 
 
 def cmd_convert(args) -> int:
-    matio.save(matio.load(args.input), args.output, binary=(args.to == "binary"))
+    with _stage("load", args.timings):
+        matrix = matio.load(args.input)
+    with _stage("save", args.timings):
+        matio.save(matrix, args.output, binary=(args.to == "binary"))
     return 0
 
 
@@ -203,8 +219,11 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)  # built once per process, outside every stage
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:

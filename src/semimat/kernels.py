@@ -111,13 +111,16 @@ def as_lanes(values, width: int, noun: str = "entry"):
             if not isinstance(v, numbers.Real):
                 raise ValueError(f"{noun} {v!r} is not a number")
     limit = sat_limit(width)
-    bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
-    if bad.any():
-        raise ValueError(f"{noun} {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
+    exact = entries.dtype.kind in "biu"  # integers in range cast exactly
+    if not exact or entries.size and (entries.min() < 0 or entries.max() > limit):
+        bad = ~((entries >= 0) & (entries <= limit))  # NaN fails both sides
+        if bad.any():
+            raise ValueError(f"{noun} {entries[bad][:1].tolist()[0]!r} outside [0, {limit}]")
     lanes = entries.astype(_DTYPES[width], order="C")
-    bad = lanes != entries
-    if bad.any():
-        raise ValueError(f"{noun} {entries[bad][:1].tolist()[0]!r} is not a whole number")
+    if not exact:
+        bad = lanes != entries
+        if bad.any():
+            raise ValueError(f"{noun} {entries[bad][:1].tolist()[0]!r} is not a whole number")
     return lanes
 
 

@@ -13,7 +13,6 @@ bits zero), bare little-endian entries without padding for lane matrices.
 import os
 import re
 import struct
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,26 +99,52 @@ def _data_lines(lines, rows, cols):
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+# The bytes that may stand between integers: ASCII whitespace, as str.split
+# and np.loadtxt read it.
+_SPACES = bytes(c for c in range(128) if chr(c).isspace())
+_INTEGER_BYTES = b"0123456789+-" + _SPACES
+
+
 def _read_integers(lines, comments=None):
     """ASCII lines of whitespace-separated decimal integers as one int64
     array, a row per line that holds any; None if any line holds anything
     else, the rows differ in length, or no line holds an integer. Text from
     ``comments`` (a string, or None for no comments) to the end of its line
-    is ignored."""
-    if not all(map(str.isascii, lines)):
-        # numpy's integer parser takes some non-ASCII letters for digits;
-        # in a comment such a letter is harmless
-        if comments is None or re.search(rf"^[^{re.escape(comments)}\n]*[^\x00-\x7f]", "\n".join(lines), re.M):
-            return None
-    with warnings.catch_warnings():
-        # numpy 1.x reads "1.5" as 1 and only warns; make that an error
-        warnings.simplefilter("error", DeprecationWarning)
-        # "input contained no data" would reach the CLI's stderr
-        warnings.simplefilter("error", UserWarning)
+    is ignored.
+
+    The lines are checked before np.loadtxt runs, so no warning filter is
+    touched and threads may parse at once.
+    """
+    if not _integer_text(lines, comments):
+        return None
+    try:
+        return np.loadtxt(lines, dtype=np.int64, comments=comments, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _integer_text(lines, comments):
+    """Whether the lines, outside comments, hold at least one integer and
+    no byte but digits, signs and whitespace: numpy takes some non-ASCII
+    letters for digits, numpy 1.x reads "1.5" as 1 and only warns, and
+    loadtxt warns on input without data. The lines are joined 64 KiB at a
+    time, small enough to leave the heap as loadtxt finds it."""
+    found = False
+    start = 0
+    while start < len(lines):
+        stop = start + max(1, (1 << 16) // (len(lines[start]) + 1))
+        text = "\n".join(lines[start:stop])
+        start = stop
+        if comments is not None and comments in text:
+            text = re.sub(f"{re.escape(comments)}.*", "", text)
         try:
-            return np.loadtxt(lines, dtype=np.int64, comments=comments, ndmin=2)
-        except (ValueError, DeprecationWarning, UserWarning):
-            return None
+            raw = text.encode("ascii")
+        except UnicodeEncodeError:
+            return False
+        if raw.translate(None, _INTEGER_BYTES):
+            return False
+        found = found or bool(raw.strip(_SPACES))
+    return found
 
 
 def _bad_line(body, cols):

@@ -594,18 +594,27 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     lanes. Returns the Runs of the sweep, the pivot phases included."""
     monkeypatch.setattr(antidist, "_BLOCK", block)
     monkeypatch.setattr(antidist, "_TILE_BYTES", tile_rows * cols * width // 8)
-    monkeypatch.setattr(antidist, "_TABLE_ROW_BYTES", 0)  # short rows take the table too
     runs = Runs()
-    real = antidist._sweep_rows
+    real_rows, real_block, real_tile = antidist._sweep_rows, antidist._sweep_block, antidist._sweep_tile
+    block_steps = []
 
-    def spy(out, left, right, limit, lo, hi, ks, buf, spans=None):
-        runs.append((lo, hi, ks))
-        if out is not right or not lo <= ks.start < hi:
-            hit = left[lo:hi, ks.start : ks.stop].any(axis=1).nonzero()[0] + lo
-            runs.hits.setdefault(ks.start, set()).update(hit.tolist())
-        real(out, left, right, limit, lo, hi, ks, buf, spans)
+    def rows_spy(out, ks, limit, buf):
+        runs.append((ks.start, ks.stop, ks))
+        real_rows(out, ks, limit, buf)
 
-    monkeypatch.setattr(antidist, "_sweep_rows", spy)
+    def block_spy(out, left, right, limit, ks, parts, height, buf, spans=None):
+        block_steps[:] = [ks]
+        hit = left[:, ks.start : ks.stop].any(axis=1)
+        runs.hits[ks.start] = {r for first, end in parts for r in range(first, end) if hit[r]}
+        real_block(out, left, right, limit, ks, parts, height, buf, spans)
+
+    def tile_spy(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
+        runs.append((lo, hi, block_steps[0]))
+        real_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans)
+
+    monkeypatch.setattr(antidist, "_sweep_rows", rows_spy)
+    monkeypatch.setattr(antidist, "_sweep_block", block_spy)
+    monkeypatch.setattr(antidist, "_sweep_tile", tile_spy)
     return runs
 
 
@@ -630,8 +639,9 @@ def assert_blocks_cover_rows(runs, rows, steps, block, tile_rows, closure):
 
 
 def count_branches(monkeypatch):
-    """Count the tile steps that take the in-place and the gather branch."""
-    seen = {"dense": 0, "gather": 0}
+    """Count the tile steps that take the gather, the table and the broadcast
+    branch."""
+    seen = {"gather": 0, "table": 0, "broadcast": 0}
     for branch in seen:
         real = getattr(antidist, f"_{branch}_step")
 
@@ -670,9 +680,10 @@ def test_vector_product_across_tiles_and_branches(width, cls, monkeypatch):
     # The half rule holds per tile: a tile's own rows decide its branch.
     hits = [sum(1 for row in a_vals[lo:hi] if row[k]) for lo, hi, ks in runs for k in ks]
     sizes = [hi - lo for lo, hi, ks in runs for _ in ks]
+    dense = seen["table"] + seen["broadcast"]
     assert seen["gather"] == sum(1 for h, n in zip(hits, sizes) if 0 < 2 * h < n)
-    assert seen["dense"] == sum(1 for h, n in zip(hits, sizes) if 2 * h >= n)
-    assert 0 < seen["dense"] and 0 < seen["gather"] and seen["dense"] + seen["gather"] < len(hits)
+    assert dense == sum(1 for h, n in zip(hits, sizes) if 2 * h >= n)
+    assert 0 < dense and 0 < seen["gather"] and dense + seen["gather"] < len(hits)
     assert got == want
     assert_no_padding(got)
     with kernels.forced_scalar():
@@ -700,7 +711,7 @@ def test_vector_closure_across_tiles_and_branches(width, cls, monkeypatch):
     inplace.transitive_close()
     assert_blocks_cover_rows(runs, dim, dim, 7, 5, closure=True)
     assert runs[-1][2] == range(56, 61) and any(hi - lo < 5 for lo, hi, _ in runs)
-    assert seen["dense"] and seen["gather"]
+    assert seen["table"] + seen["broadcast"] and seen["gather"]
     assert m.transitive_closure() == want
     assert inplace == want
     assert_no_padding(inplace)
@@ -736,10 +747,10 @@ def test_blocked_sweep_any_shape(width, block, tile_rows, monkeypatch):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_dense_step_with_few_and_many_distinct_entries(width, monkeypatch):
-    """The in-place branch builds one candidate row per distinct entry of the
-    column when they are few, and one per row otherwise; both equal the
-    step's definition."""
-    monkeypatch.setattr(antidist, "_TABLE_ROW_BYTES", 0)
+    """A dense tile step whose column holds at most a quarter as many
+    distinct entries as the tile has rows takes the planned table, one
+    candidate row per distinct entry; a column with more takes the broadcast
+    branch, one candidate row per row. Both equal the step's definition."""
     rng = np.random.default_rng(width)
     limit = sat_limit(width)
     dtype = kernels.dtype_for(width)
@@ -747,16 +758,155 @@ def test_dense_step_with_few_and_many_distinct_entries(width, monkeypatch):
     row_k = rng.integers(0, limit + 1, 9, dtype=dtype)
     few = np.array([limit - 1, 0, 0, limit - 1, 1] * 3 + [0], dtype)
     many = np.array([0, 1, limit, limit - 1, 2, 3] + [5] * 10, dtype)
-    assert antidist._distinct(few).tolist() == [0, 1, limit - 1]  # 4 * 3 <= 16 rows
-    assert antidist._distinct(many).tolist() == sorted({0, 1, limit, limit - 1, 2, 3, 5})
-    for column in (few, many):
+    made, counts, entries, ranks = antidist._few_distinct(np.stack([few, many]), np.arange(2), 4)
+    assert (made, counts, entries.tolist()) == ([0], [3], [0, 1, limit - 1])  # 4 * 3 <= 16 rows
+    assert ranks[0].tolist() == np.searchsorted([0, 1, limit - 1], few).tolist()
+    seen = count_branches(monkeypatch)
+    for column, branch in ((few, "table"), (many, "broadcast")):
         want = [
             [max(x, r - (limit - e) if r > limit - e else 0) for x, r in zip(row, row_k.tolist())]
             for row, e in zip(tile.tolist(), column.tolist())
         ]
         got = tile.copy()
-        antidist._dense_step(got, column, row_k, limit, np.empty_like(got))
+        seen.update(dict.fromkeys(seen, 0))
+        buf = np.empty_like(got)
+        antidist._sweep_block(got, column[:, None], row_k[None], limit, range(1), ((0, 16),), 16, buf)
         assert got.tolist() == want
+        assert seen == {"gather": 0, "table": 0, "broadcast": 0, branch: 1}
+
+
+# -- planned blocks: every branch at every width ---------------------------------
+
+def skipped_rows(runs, rows):
+    """The rows outside a closure block's pivot rows that none of the block's
+    tiles visited, summed over the blocks."""
+    count = 0
+    for lo, hi, ks in runs:
+        if (lo, hi) == (ks.start, ks.stop):  # a pivot phase
+            tiles = {(a, b) for a, b, got in runs if got == ks and (a, b) != (lo, hi)}
+            count += rows - (hi - lo) - sum(b - a for a, b in tiles)
+    return count
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_planned_product_takes_every_branch(width, cls, monkeypatch):
+    """Three tiles of 16 rows and steps whose columns are empty, sparse, of
+    three distinct entries, or of many: each (tile, step) skips, gathers,
+    takes the table or broadcasts, as the plan's rules say."""
+    rng = np.random.default_rng(width)
+    limit = sat_limit(width)
+    rows, inner, cols = 48, 20, 11
+    a_vals = np.zeros((rows, inner), np.int64)
+    for k in range(inner):
+        if k % 4 == 1:  # three hits per tile, fewer than half its rows
+            for lo in range(0, rows, 16):
+                a_vals[rng.choice(np.arange(lo, lo + 16), 3, replace=False), k] = rng.integers(1, limit + 1, 3)
+        elif k % 4 == 2:  # three distinct entries: at most a quarter of 16 rows
+            a_vals[:, k] = rng.choice([1, limit // 2, limit], rows)
+        elif k % 4 == 3:  # more than a quarter of a tile's rows distinct
+            a_vals[:, k] = rng.integers(1, limit + 1, rows)
+            assert len(set(a_vals[:, k].tolist())) > 4
+    b_vals = rng.integers(0, limit + 1, (inner, cols))
+    a = AntidistMatrix.from_lists(a_vals, width)
+    b = AntidistMatrix.from_lists(b_vals, width)
+    want = AntidistMatrix.from_lists(oracle.naive_antidist_mul(a_vals.tolist(), b_vals.tolist(), limit), width)
+    if cls is DistMatrix:
+        a, b, want = ~a, ~b, ~want
+    runs = shrink_sweep(monkeypatch, width, cols, block=8, tile_rows=16)
+    seen = count_branches(monkeypatch)
+    assert a * b == want
+    assert seen == {"gather": 15, "table": 15, "broadcast": 15}  # 5 steps of each kind, 3 tiles
+    assert_blocks_cover_rows(runs, rows, inner, 8, 16, closure=False)
+    with kernels.forced_scalar():
+        assert a * b == want
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_planned_tables_split_into_groups(width, monkeypatch):
+    """When a block's tables outgrow a tile they are built a group of steps
+    at a time: each tile then runs once per group, the steps still in order,
+    and no group's tables hold more lanes than a tile."""
+    rng = np.random.default_rng(width)
+    limit = sat_limit(width)
+    rows, inner, cols = 40, 24, 9
+    a_vals = rng.choice([1, 2, limit - 1, limit], (rows, inner))
+    b_vals = rng.integers(0, limit + 1, (inner, cols))
+    a = AntidistMatrix.from_lists(a_vals, width)
+    b = AntidistMatrix.from_lists(b_vals, width)
+    want = AntidistMatrix.from_lists(oracle.naive_antidist_mul(a_vals.tolist(), b_vals.tolist(), limit), width)
+    shrink_sweep(monkeypatch, width, cols, block=12, tile_rows=16)
+    visits = []
+    real = antidist._sweep_tile
+
+    def spy(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
+        steps = list(steps)
+        visits.append((lo, [k for k, _ in steps]))
+        assert sum(table.size for table, _ in tables.values()) <= 16 * cols
+        real(out, lo, hi, panel, right, limit, steps, tables, buf, spans)
+
+    monkeypatch.setattr(antidist, "_sweep_tile", spy)
+    seen = count_branches(monkeypatch)
+    assert a * b == want
+    assert seen == {"gather": 0, "table": 3 * inner, "broadcast": 0}
+    assert len(visits) > 3 * 2  # more than one visit per tile and block
+    for lo in (0, 16, 32):
+        steps = [k for start, ks in visits if start == lo for k in ks]
+        assert steps == list(range(12)) * 2  # every step once per block, in order
+
+
+def planned_graph(rng, dim, strongly_connected):
+    """A complete core of weight-1 edges, whose columns hold few distinct
+    entries, and a ring of random weights that three core vertices reach,
+    whose columns hold many; with a ring edge back into the core the graph is
+    strongly connected."""
+    core, ring = list(range(24)), list(range(24, dim))
+    edges = [(u, v, 1) for u in core for v in core if u != v]
+    edges += [(u, ring[(i + 1) % len(ring)], rng.randint(1, 9)) for i, u in enumerate(ring)]
+    edges += [(u, rng.choice(ring), rng.randint(1, 9)) for u in rng.sample(core, 3)]
+    if strongly_connected:
+        edges.append((ring[0], 0, 3))
+    return edges
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("strongly_connected", (False, True))
+def test_planned_closure_takes_every_branch(width, strongly_connected, monkeypatch):
+    """Closures whose tiles skip, gather, take the table and broadcast, on
+    the plain and on the ordered, spanned sweep, equal Dijkstra and the
+    scalar path for both matrix types."""
+    rng = random.Random(f"planned-{width}-{strongly_connected}")
+    dim = 48
+    edges = planned_graph(rng, dim, strongly_connected)
+    anti = AntidistMatrix.from_edges(dim, edges, width)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
+    runs = shrink_sweep(monkeypatch, width, dim, block=8, tile_rows=16)
+    seen = count_branches(monkeypatch)
+    calls = count_calls(monkeypatch, "_reach_order")
+    for m, closed in ((anti, want), (~anti, ~want)):
+        inplace = m.copy()
+        inplace.transitive_close()
+        assert inplace == closed
+        assert_blocks_cover_rows(runs, dim, dim, 8, 16, closure=True)
+        assert skipped_rows(runs, dim) > 0
+        runs.clear()
+        with kernels.forced_scalar():
+            assert m.transitive_closure() == closed
+    assert all(seen.values())
+    assert len(calls["_reach_order"]) == (0 if strongly_connected else 2)
+
+
+def test_closure_in_one_tile_skips_the_plan(monkeypatch):
+    """A closure that fits in one tile runs the in-order sweep in a single
+    block: no order, no planned blocks."""
+    rng = random.Random("one tile")
+    dim = 40
+    edges = shaped_graph(rng, "sccs", dim)
+    calls = count_calls(monkeypatch, "_reach_order", "_sweep_block")
+    m = DistMatrix.from_edges(dim, edges, 16)
+    want = ~AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(16)), 16)
+    assert m.transitive_closure() == want
+    assert calls == {"_reach_order": [], "_sweep_block": []}
 
 
 # -- closure plan: order, spans and the strongly connected skip ----------------
@@ -906,6 +1056,34 @@ def test_planned_closure_allocates_less_than_the_matrix():
         if (c + 1) % 8:  # two chains of eight clusters
             edges += [(rng.choice(members), rng.randrange(members.stop, members.stop + size), 5)]
     m = DistMatrix.from_edges(dim, edges, 16)
+    want = (~m).data.copy()
+    antidist._maxplus_sweep(want, want, want, m.limit)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m.transitive_close()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.data.nbytes
+    assert np.array_equal(m.limit - m.data, want)
+
+
+def test_planned_blocks_allocate_less_than_the_matrix():
+    """An n=1024 w16 closure of chained clusters, too large for one tile,
+    runs the plan and the planned blocks: their panels, ranks, tables and
+    tile buffer together stay below one copy of the matrix."""
+    rng = random.Random("planned-memory")
+    dim, size = 1024, 32
+    edges = []
+    for c in range(dim // size):
+        members = range(c * size, (c + 1) * size)
+        edges += [(u, u + 1 if u + 1 < members.stop else members.start, rng.randint(1, 9)) for u in members]
+        edges += [(u, rng.choice(members), rng.randint(1, 9)) for u in members]
+        if (c + 1) % 16:  # two chains of sixteen clusters
+            edges += [(rng.choice(members), rng.randrange(members.stop, members.stop + size), 5)]
+    m = DistMatrix.from_edges(dim, edges, 16)
+    assert dim > antidist._TILE_BYTES // m.data[0].nbytes
     want = (~m).data.copy()
     antidist._maxplus_sweep(want, want, want, m.limit)
     tracemalloc.start()

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -194,6 +195,49 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert cli.main(["convert", str(mid), str(back), "--to", "text"]) == 0
     assert back.read_text() == src.read_text()
     capsys.readouterr()
+
+
+def timed_main(capsys, argv):
+    """Run cli.main with --timings; returns its wall time, stdout and the
+    (stage, seconds) pairs of its stderr, checked line by line."""
+    start = time.perf_counter()
+    code = cli.main([*argv, "--timings"])
+    wall = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.err.splitlines()
+    assert all(re.fullmatch(r"timing stage=[a-z_]+ seconds=[0-9.]+", line) for line in lines)
+    stages = [(line.split()[1][len("stage="):], float(line.split("seconds=")[1])) for line in lines]
+    return wall, captured.out, stages
+
+
+def test_multiply_timings(tmp_path, capsys):
+    """multiply --timings prints the load, product and serialize stages to
+    stderr; they cover the command's run, and stdout is as without the flag."""
+    rng = np.random.default_rng(5)
+    for name in ("a.txt", "b.txt"):
+        matio.save(AntidistMatrix.from_lists(rng.integers(0, 256, (400, 400)), 8), tmp_path / name)
+    argv = ["multiply", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    wall, out, stages = timed_main(capsys, argv)
+    assert out == plain
+    assert [name for name, _ in stages] == ["load_left", "load_right", "product", "serialize"]
+    assert 0.95 * wall <= sum(seconds for _, seconds in stages) <= wall
+
+
+def test_convert_timings(tmp_path, capsys):
+    """convert --timings prints the load and save stages; they cover the
+    command's run, and the output file is as without the flag."""
+    rng = np.random.default_rng(6)
+    matio.save(AntidistMatrix.from_lists(rng.integers(0, 65536, (600, 600)), 16), tmp_path / "m.txt")
+    argv = ["convert", str(tmp_path / "m.txt")]
+    assert run(capsys, *argv, str(tmp_path / "plain.bin"), "--to", "binary") == (0, "", "")
+    wall, out, stages = timed_main(capsys, [*argv, str(tmp_path / "timed.bin"), "--to", "binary"])
+    assert out == ""
+    assert [name for name, _ in stages] == ["load", "save"]
+    assert 0.95 * wall <= sum(seconds for _, seconds in stages) <= wall
+    assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "timed.bin").read_bytes()
 
 
 def test_bench_small(capsys):

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +101,73 @@ def test_parse_text_errors():
 def test_parse_text_errors_name_their_line(text, message):
     with pytest.raises(MatrixFormatError, match=message):
         matio.parse_text(text)
+
+
+@pytest.mark.parametrize(
+    "lines, comments, want",
+    [
+        (["1 2", "3 4"], None, [[1, 2], [3, 4]]),
+        (["+1\t-2", "", " 3 4 "], None, [[1, -2], [3, 4]]),
+        (["1\x1f2"], None, [[1, 2]]),  # whitespace to str.split and to loadtxt
+        (["1 1.5"], None, None),
+        (["1e3"], None, None),
+        (["1_0"], None, None),
+        (["\u0663"], None, None),
+        (["1\u20002"], None, None),
+        (["", "  "], None, None),
+        ([], None, None),
+        (["0 1 # \u00e9dge", "# only a comment"], "#", [[0, 1]]),
+        (["# nothing but comments", "   # and blanks"], "#", None),
+        (["0 1", "1 \u0663 # a non-ASCII digit before the comment"], "#", None),
+    ],
+)
+def test_read_integers_checks_before_loadtxt(lines, comments, want):
+    """Anything but digits, signs and whitespace outside comments, and input
+    without an integer, are refused before np.loadtxt runs."""
+    got = matio._read_integers(lines, comments)
+    assert (got if got is None else got.tolist()) == want
+
+
+def test_parsers_run_in_threads_at_once():
+    """Four threads, more than the cores, parse bad and good text at once,
+    many times over with a short switch interval: each gets its own
+    answer, and the process's warning filters are never touched."""
+    rng = random.Random("threads")
+    good = random_lane(AntidistMatrix, rng, 40, 30, 8)
+    sources = {"good": matio.format_text(good), "bad": "dist 8 2 2\n1 1.5\n3 4\n"}
+    filters = warnings.filters
+    start = threading.Barrier(4, timeout=10)
+    results = {}
+
+    def parse(name, source):
+        start.wait()
+        answers = []
+        for _ in range(100):
+            try:
+                answers.append(matio.parse_text(source) == good)
+            except MatrixFormatError as exc:
+                answers.append(str(exc))
+        results[name] = answers
+
+    threads = [
+        threading.Thread(target=parse, args=(f"{kind}{i}", sources[kind]))
+        for i in range(2)
+        for kind in sources
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(2):
+        assert results[f"good{i}"] == [True] * 100
+        assert results[f"bad{i}"] == ["line 2: non-integer entry"] * 100
+    assert warnings.filters is filters
 
 
 def test_format_text_golden():
