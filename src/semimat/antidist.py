@@ -43,9 +43,12 @@ A larger one is planned from the matrix's support (its nonzero entries as
 packed bits). If the support is strongly connected, the plain blocked sweep
 runs. Otherwise the vertices are relabelled in reachability order, a
 depth-first order read with the Boolean closure. The matrix is permuted in
-place, and the blocked sweep runs with spans: each tile step touches only
-the columns between its pivot row's first and last nonzero entries. Then the
-inverse permutation restores the labels in place.
+place, and the blocked sweep runs with spans: each step, in the pivot phase
+and in the tiles, touches only the columns between its pivot row's first and
+last nonzero entries. A pivot-phase step reads that span when it starts,
+because earlier steps of its block may have widened the row, and a row of
+zeros skips its step. Then the inverse permutation restores the labels in
+place.
 """
 
 import numpy as np
@@ -399,13 +402,16 @@ class DistMatrix(_LaneMatrix):
 #   one buffer, then rows move along the permutation's cycles. A closure
 #   commutes with relabelling rows and columns together, so the relabelled
 #   closure is exact. The inverse order restores the labels the same way.
-# - Spans: the blocked sweep takes blocks of _BLOCK at every size. After a
-#   block's pivot phase, _pivot_spans finds each pivot row's nonzero span
-#   [a, b) in one pass. A tile step and its table then work on columns a:b
-#   only, with scratch carved from the tile buffer. This is exact: a column
-#   where row_k is 0 gets the candidate subsat(0, .) = 0, which changes
-#   nothing. The pivot rows do not change while the tiles run, so a block's
-#   spans hold for all its tiles.
+# - Spans: the blocked sweep takes blocks of _BLOCK at every size. In the
+#   pivot phase, _sweep_rows reads row k's nonzero span [a, b) at step k and
+#   runs the step on columns a:b only, with scratch carved from the tile
+#   buffer; a row of zeros skips the step. The span must be read at step k,
+#   not at the block's start: an earlier step of the block may have widened
+#   row k. After the pivot phase, _pivot_spans finds each pivot row's span in
+#   one pass, and a tile step and its table work on columns a:b only. This
+#   is exact: a column where row_k is 0 gets the candidate subsat(0, .) = 0,
+#   which changes nothing. Step k never writes row k, and the pivot rows do
+#   not change while the tiles run, so each span holds while it is used.
 
 _BLOCK = 128
 _TILE_BYTES = 512 * 1024
@@ -423,28 +429,41 @@ def _maxplus_sweep(out, left, right, limit, spanned=False):
         ks = range(k0, min(k0 + block, steps))
         parts, spans = ((0, rows),), None
         if out is right:
-            _sweep_rows(out, ks, limit, buf)
+            _sweep_rows(out, ks, limit, buf, spanned)
             parts = ((0, ks.start), (ks.stop, rows))
             if spanned and block < rows:
                 spans = _pivot_spans(right[ks.start : ks.stop], buf)
         _sweep_block(out, left, right, limit, ks, parts, height, buf, spans)
 
 
-def _sweep_rows(out, ks, limit, buf):
+def _sweep_rows(out, ks, limit, buf, spanned=False):
     """Run steps ``ks`` in order on rows ``ks`` of ``out``, ``len(buf)`` rows
     at a time: a closure's pivot phase, where each step reads what the
-    earlier ones wrote."""
+    earlier ones wrote. If ``spanned``, step k touches only the span of row
+    k's nonzero columns, read at step k, and skips a row of zeros."""
     height = len(buf)
+    span = slice(None)
     for k in ks:
+        row_k = out[k]
+        if spanned:
+            nonzero = row_k != 0
+            first = nonzero.argmax()
+            if not nonzero[first]:
+                continue
+            span = slice(first, nonzero.size - nonzero[::-1].argmax())
+            row_k = row_k[span]
         for lo in range(ks.start, ks.stop, height):
             tile = out[lo : min(lo + height, ks.stop)]
             column = tile[:, k]
             hits = np.count_nonzero(column)
+            if not hits:
+                continue
+            part, cand = tile[:, span], _scratch(buf, len(tile), row_k.size)
             if 2 * hits >= len(tile):
-                _broadcast_step(tile, column, out[k], limit, buf[: len(tile)])
-            elif hits:
+                _broadcast_step(part, column, row_k, limit, cand)
+            else:
                 hit = (column != 0).nonzero()[0]  # a contiguous mask: faster than the strided column
-                _gather_step(tile, hit, column[hit], out[k], limit, buf)
+                _gather_step(part, hit, column[hit], row_k, limit, cand)
 
 
 def _sweep_block(out, left, right, limit, ks, parts, height, buf, spans=None):
@@ -560,8 +579,7 @@ def _sweep_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
         part, row_k, cand = tile, right[k], buf[:size]
         if spans is not None:
             a, b = spans[k]
-            part, row_k = tile[:, a:b], row_k[a:b]
-            cand = buf.reshape(-1)[: size * (b - a)].reshape(size, b - a)
+            part, row_k, cand = tile[:, a:b], row_k[a:b], _scratch(buf, size, b - a)
         if branch == _TABLE:
             table, ranks = tables[k]
             _table_step(part, table, ranks[lo:hi], cand)
@@ -571,6 +589,11 @@ def _sweep_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
             column = panel[k, lo:hi]
             hit = column.nonzero()[0]
             _gather_step(part, hit, column[hit], row_k, limit, cand)
+
+
+def _scratch(buf, rows, cols):
+    """A contiguous rows x cols array carved from the start of ``buf``."""
+    return buf.reshape(-1)[: rows * cols].reshape(rows, cols)
 
 
 def _pivot_spans(pivots, buf):

@@ -598,9 +598,9 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     real_rows, real_block, real_tile = antidist._sweep_rows, antidist._sweep_block, antidist._sweep_tile
     block_steps = []
 
-    def rows_spy(out, ks, limit, buf):
+    def rows_spy(out, ks, limit, buf, spanned=False):
         runs.append((ks.start, ks.stop, ks))
-        real_rows(out, ks, limit, buf)
+        real_rows(out, ks, limit, buf, spanned)
 
     def block_spy(out, left, right, limit, ks, parts, height, buf, spans=None):
         block_steps[:] = [ks]
@@ -1020,6 +1020,111 @@ def test_chain_spans(width, monkeypatch):
         assert m.transitive_closure() == want
 
 
+def nonzero_span(row):
+    """The [a, b) of a row's nonzero columns, None for a row of zeros."""
+    nonzero = np.flatnonzero(row)
+    return (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else None
+
+
+def record_pivot_steps(monkeypatch):
+    """Record every step that a pivot phase (_sweep_rows) runs on some rows as
+    (k, tile columns, row columns, live, start): the columns of the tile and
+    of row k that the step read, the span of row k's nonzero columns when the
+    step ran, and that span when the block's pivot phase began."""
+    steps, phase = [], {}
+    real_rows = antidist._sweep_rows
+
+    def rows_spy(out, ks, limit, buf, spanned=False):
+        phase.update(out=out, start={k: nonzero_span(out[k]) for k in ks})
+        try:
+            real_rows(out, ks, limit, buf, spanned)
+        finally:
+            phase.clear()
+
+    def columns(out, view):  # the columns of ``out`` that a view of some of its rows holds
+        first = (view.ctypes.data - out.ctypes.data) // out.itemsize % out.shape[1]
+        return first, first + view.shape[-1]
+
+    def step_spy(real, row_arg):
+        def spy(*args):
+            if phase:
+                out, row_k = phase["out"], args[row_arg]
+                k = (row_k.ctypes.data - out.ctypes.data) // out.itemsize // out.shape[1]
+                live = nonzero_span(out[k])
+                steps.append((k, columns(out, args[0]), columns(out, row_k), live, phase["start"][k]))
+            real(*args)
+
+        return spy
+
+    monkeypatch.setattr(antidist, "_sweep_rows", rows_spy)
+    monkeypatch.setattr(antidist, "_broadcast_step", step_spy(antidist._broadcast_step, 2))
+    monkeypatch.setattr(antidist, "_gather_step", step_spy(antidist._gather_step, 3))
+    return steps
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+@pytest.mark.parametrize("shape", ("sccs", "strongly connected"))
+def test_pivot_steps_touch_their_live_span(shape, width, cls, monkeypatch):
+    """On the ordered, spanned sweep each pivot-phase step touches exactly
+    the span of its pivot row's nonzero columns as it stands at that step. In
+    these graphs of several components an earlier step of a block widens a
+    later pivot row, so a span read at the block's start would miss updates;
+    the closures equal Dijkstra and the scalar path. A strongly connected
+    graph's pivot steps touch whole rows."""
+    rng = random.Random(f"live-spans-{shape}-{width}")
+    dim = 45
+    edges = shaped_graph(rng, shape, dim)
+    m = AntidistMatrix.from_edges(dim, edges, width)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
+    if cls is DistMatrix:
+        m, want = ~m, ~want
+    shrink_sweep(monkeypatch, width, dim, block=9, tile_rows=5)
+    steps = record_pivot_steps(monkeypatch)
+    inplace = m.copy()
+    inplace.transitive_close()
+    assert inplace == want
+    assert steps
+    if shape == "sccs":
+        assert all(tile == row == live for _, tile, row, live, _ in steps)
+        assert any(live != start for *_, live, start in steps)
+    else:
+        assert all(tile == row == (0, dim) for _, tile, row, _, _ in steps)
+    with kernels.forced_scalar():
+        assert m.transitive_closure() == want
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_spanned_pivot_phase_reads_spans_live_and_skips_rows_of_zeros(width, monkeypatch):
+    """Step 0 widens pivot row 1, which at first holds only column 0, to the
+    far columns of row 0; step 1 then touches that wider span. Pivot row 2 is
+    all zero and its step is skipped although its column hits, while the
+    unspanned phase runs it on whole rows. Both equal the scalar sweep."""
+    limit = sat_limit(width)
+    rng = np.random.default_rng(width)
+    dim = 12
+    data = np.zeros((dim, dim), kernels.dtype_for(width))
+    data[0, 7:10] = rng.integers(1, limit + 1, 3)
+    data[1, 0] = limit - 1
+    data[3:, 1] = rng.integers(1, limit + 1, dim - 3)
+    data[3:, 2] = rng.integers(1, limit + 1, dim - 3)
+    data[3:, 3:] = rng.integers(0, limit + 1, (dim - 3, dim - 3))
+    work = data.tolist()
+    antidist._maxplus_sweep_scalar(work, work, work, limit)
+    steps = record_pivot_steps(monkeypatch)
+    for spanned in (True, False):
+        got = data.copy()
+        steps.clear()
+        antidist._sweep_rows(got, range(dim), limit, np.empty_like(got), spanned)
+        assert got.tolist() == work
+        ran = {k: tile for k, tile, *_ in steps}
+        if spanned:
+            assert ran[1] == (0, 10) and [live for k, *_, live, _ in steps if k == 1] == [(0, 10)]
+            assert 2 not in ran and all(tile == row == live for _, tile, row, live, _ in steps)
+        else:
+            assert ran[1] == ran[2] == (0, dim)
+
+
 @pytest.mark.parametrize("block", (5, 128))
 @pytest.mark.parametrize("kind", ("identity", "one cycle", "2-cycles", "random"))
 def test_permutation_round_trip(kind, block, monkeypatch):
@@ -1043,18 +1148,25 @@ def test_permutation_round_trip(kind, block, monkeypatch):
         assert np.array_equal(data, original)
 
 
-def test_planned_closure_allocates_less_than_the_matrix():
-    """The order, the permutations and the spanned sweep of an n=512 w16
-    closure with many components stay below one copy of the matrix."""
-    rng = random.Random("plan-memory")
-    dim, size = 512, 32
+def chained_clusters(rng, dim, size, chain):
+    """Clusters of ``size`` vertices, each a cycle plus one random edge per
+    vertex, joined one way in chains of ``chain`` clusters by one edge each."""
     edges = []
     for c in range(dim // size):
         members = range(c * size, (c + 1) * size)
         edges += [(u, u + 1 if u + 1 < members.stop else members.start, rng.randint(1, 9)) for u in members]
         edges += [(u, rng.choice(members), rng.randint(1, 9)) for u in members]
-        if (c + 1) % 8:  # two chains of eight clusters
+        if (c + 1) % chain:
             edges += [(rng.choice(members), rng.randrange(members.stop, members.stop + size), 5)]
+    return edges
+
+
+def test_planned_closure_allocates_less_than_the_matrix():
+    """The order, the permutations and the spanned sweep of an n=512 w16
+    closure with many components stay below one copy of the matrix."""
+    rng = random.Random("plan-memory")
+    dim = 512
+    edges = chained_clusters(rng, dim, 32, 8)  # two chains of eight clusters
     m = DistMatrix.from_edges(dim, edges, 16)
     want = (~m).data.copy()
     antidist._maxplus_sweep(want, want, want, m.limit)
@@ -1074,14 +1186,8 @@ def test_planned_blocks_allocate_less_than_the_matrix():
     runs the plan and the planned blocks: their panels, ranks, tables and
     tile buffer together stay below one copy of the matrix."""
     rng = random.Random("planned-memory")
-    dim, size = 1024, 32
-    edges = []
-    for c in range(dim // size):
-        members = range(c * size, (c + 1) * size)
-        edges += [(u, u + 1 if u + 1 < members.stop else members.start, rng.randint(1, 9)) for u in members]
-        edges += [(u, rng.choice(members), rng.randint(1, 9)) for u in members]
-        if (c + 1) % 16:  # two chains of sixteen clusters
-            edges += [(rng.choice(members), rng.randrange(members.stop, members.stop + size), 5)]
+    dim = 1024
+    edges = chained_clusters(rng, dim, 32, 16)  # two chains of sixteen clusters
     m = DistMatrix.from_edges(dim, edges, 16)
     assert dim > antidist._TILE_BYTES // m.data[0].nbytes
     want = (~m).data.copy()
@@ -1095,6 +1201,35 @@ def test_planned_blocks_allocate_less_than_the_matrix():
         tracemalloc.stop()
     assert peak < m.data.nbytes
     assert np.array_equal(m.limit - m.data, want)
+
+
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+@pytest.mark.parametrize("shape", ("chained clusters", "strongly connected"))
+def test_closure_at_full_block_and_tile_size(shape, cls, monkeypatch):
+    """At the real _BLOCK and _TILE_BYTES an n=400 w32 closure (327 rows per
+    tile) runs the plan and the planned blocks: chained clusters take the
+    ordered, spanned sweep and a cycle with chords the plain one. Every row
+    equals Dijkstra; the clusters also equal the scalar path, which would take
+    seconds on the cycle's dense closure."""
+    rng = random.Random(f"full-size-{shape}")
+    dim, width = 400, 32
+    if shape == "chained clusters":
+        edges = chained_clusters(rng, dim, 20, 5)
+    else:
+        edges = [(v, (v + 1) % dim, rng.randint(1, 9)) for v in range(dim)]
+        edges += [(rng.randrange(dim), rng.randrange(dim), rng.randint(1, 9)) for _ in range(dim)]
+    m = AntidistMatrix.from_edges(dim, edges, width)
+    want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
+    if cls is DistMatrix:
+        m, want = ~m, ~want
+    assert dim > antidist._TILE_BYTES // m.data[0].nbytes
+    calls = count_calls(monkeypatch, "_reach_order", "_sweep_block")
+    assert m.transitive_closure() == want
+    assert len(calls["_reach_order"]) == (shape == "chained clusters")
+    assert len(calls["_sweep_block"]) == -(-dim // antidist._BLOCK)
+    if shape == "chained clusters":
+        with kernels.forced_scalar():
+            assert m.transitive_closure() == want
 
 
 # -- paths under threads --------------------------------------------------------
