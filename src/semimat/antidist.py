@@ -38,16 +38,19 @@ candidate row per entry. A tile step then skips, gathers the rows that hit,
 takes its candidates from the table, or broadcasts one candidate per row.
 The scalar path is the plain unblocked sweep.
 
+Each block of the vector path works on one window of columns: from the
+first to the last column where any of the block's rows of the right factor
+is nonzero. Step k changes only columns where row k is nonzero, because
+subsat(0, x) = 0, so the window bounds every step of the block, and a block
+with no nonzero column is skipped.
+
 A vector closure that fits in one tile runs the in-order sweep on all rows.
 A larger one is planned from the matrix's support (its nonzero entries as
-packed bits). If the support is strongly connected, the plain blocked sweep
-runs. Otherwise the vertices are relabelled in reachability order, a
-depth-first order read with the Boolean closure. The matrix is permuted in
-place, and the blocked sweep runs with spans: each step, in the pivot phase
-and in the tiles, touches only the columns between its pivot row's first and
-last nonzero entries. A pivot-phase step reads that span when it starts,
-because earlier steps of its block may have widened the row, and a row of
-zeros skips its step. Then the inverse permutation restores the labels in
+packed bits). If the support is strongly connected, the blocked sweep runs
+on the matrix as it is. Otherwise the vertices are relabelled in
+reachability order, a depth-first order read with the Boolean closure,
+which keeps each block's window narrow. The matrix is permuted in place,
+the blocked sweep runs, and the inverse permutation restores the labels in
 place.
 """
 
@@ -352,6 +355,17 @@ class DistMatrix(_LaneMatrix):
 # same second phase with no pivot phase, and a matrix that fits in one tile
 # is a single block.
 #
+# Each block reads and writes one window of columns, cols: from the first to
+# the last column where any of the block's rows of ``right`` is nonzero, as
+# they stand when the block starts. A block with no such column is skipped.
+# Step k changes only the columns where row k of ``right`` is nonzero,
+# because subsat(0, .) = 0, so the window bounds every step of the block. It
+# holds while the block runs: a product never writes ``right``, and in a
+# closure's pivot phase a pivot row gains entries only from the block's other
+# pivot rows, whose nonzero entries stay in the window by induction. The
+# pivot phase, the tables and the tile steps all run on columns cols only,
+# with scratch carved from the tile buffer.
+#
 # The left panel of a block's product is fixed while it runs, so
 # _sweep_block plans the block once, in whole-array calls: a transposed copy
 # of the panel; the hits of each (tile, step), one count_nonzero per tile of
@@ -384,81 +398,65 @@ class DistMatrix(_LaneMatrix):
 # A closure on the vector path that does not fit in one tile is planned first
 # (_maxplus_close). The support's Boolean closure bounds the saturated
 # closure's support, because a lane is nonzero only where a path exists. The
-# plan has four parts:
+# plan has three parts:
 #
 # - Strongly connected test: breadth-first searches from vertex 0 along the
 #   packed support and its transpose. If both reach every vertex, the
-#   Boolean closure is all ones, every span would be full, and the plain
-#   blocked sweep above runs unchanged.
+#   Boolean closure is all ones, every window would be full, and the blocked
+#   sweep above runs on the matrix as it is.
 # - Order (_reach_order): the support is closed in place by the Four Russians
 #   sweep. The order is the reverse postorder of a depth-first search along
 #   the closure's rows, with roots taken in ascending in-reach count, so
 #   sources come first (Purdom 1970, Tarjan 1972). Each strongly connected
 #   component's vertices then gather at its first vertex's place, in their
 #   input order. The components stay in topological order, so a row's
-#   reachable columns tend to follow it in one run, and rows that reach no
-#   pivot of a block leave their tiles without a hit.
+#   reachable columns tend to follow it in one run, which keeps each block's
+#   window narrow, and rows that reach no pivot of a block leave their tiles
+#   without a hit.
 # - Relabel in place (_permute): columns move _BLOCK rows at a time through
 #   one buffer, then rows move along the permutation's cycles. A closure
 #   commutes with relabelling rows and columns together, so the relabelled
 #   closure is exact. The inverse order restores the labels the same way.
-# - Spans: the blocked sweep takes blocks of _BLOCK at every size. In the
-#   pivot phase, _sweep_rows reads row k's nonzero span [a, b) at step k and
-#   runs the step on columns a:b only, with scratch carved from the tile
-#   buffer; a row of zeros skips the step. The span must be read at step k,
-#   not at the block's start: an earlier step of the block may have widened
-#   row k. After the pivot phase, _pivot_spans finds each pivot row's span in
-#   one pass, and a tile step and its table work on columns a:b only. This
-#   is exact: a column where row_k is 0 gets the candidate subsat(0, .) = 0,
-#   which changes nothing. Step k never writes row k, and the pivot rows do
-#   not change while the tiles run, so each span holds while it is used.
 
 _BLOCK = 128
 _TILE_BYTES = 512 * 1024
 _GATHER, _TABLE, _BROADCAST = 1, 2, 3  # a tile step's branch; 0 skips the step
 
 
-def _maxplus_sweep(out, left, right, limit, spanned=False):
+def _maxplus_sweep(out, left, right, limit):
     rows, steps = out.shape[0], right.shape[0]
     height = max(1, _TILE_BYTES // out[0].nbytes)
-    block = _BLOCK if rows > height or spanned else steps  # one tile gains nothing from blocks
+    block = _BLOCK if rows > height else steps  # one tile gains nothing from blocks
     if out is right:  # a closure's tiles never hold the block's pivot rows
         height = min(height, max(1, rows - block))
     buf = np.empty((min(rows, max(height, block)), out.shape[1]), out.dtype)  # a tile or the pivot rows
     for k0 in range(0, steps, block):
         ks = range(k0, min(k0 + block, steps))
-        parts, spans = ((0, rows),), None
+        nonzero = np.flatnonzero(right[ks.start : ks.stop].any(axis=0))
+        if not nonzero.size:  # every candidate of the block is 0
+            continue
+        cols = slice(nonzero[0], nonzero[-1] + 1)  # the block's window
+        parts = ((0, rows),)
         if out is right:
-            _sweep_rows(out, ks, limit, buf, spanned)
+            _sweep_rows(out, ks, limit, buf, cols)
             parts = ((0, ks.start), (ks.stop, rows))
-            if spanned and block < rows:
-                spans = _pivot_spans(right[ks.start : ks.stop], buf)
-        _sweep_block(out, left, right, limit, ks, parts, height, buf, spans)
+        _sweep_block(out, left, right, limit, ks, parts, height, buf, cols)
 
 
-def _sweep_rows(out, ks, limit, buf, spanned=False):
-    """Run steps ``ks`` in order on rows ``ks`` of ``out``, ``len(buf)`` rows
-    at a time: a closure's pivot phase, where each step reads what the
-    earlier ones wrote. If ``spanned``, step k touches only the span of row
-    k's nonzero columns, read at step k, and skips a row of zeros."""
+def _sweep_rows(out, ks, limit, buf, cols):
+    """Run steps ``ks`` in order on columns ``cols`` of rows ``ks`` of
+    ``out``, ``len(buf)`` rows at a time: a closure's pivot phase, where each
+    step reads what the earlier ones wrote."""
     height = len(buf)
-    span = slice(None)
     for k in ks:
-        row_k = out[k]
-        if spanned:
-            nonzero = row_k != 0
-            first = nonzero.argmax()
-            if not nonzero[first]:
-                continue
-            span = slice(first, nonzero.size - nonzero[::-1].argmax())
-            row_k = row_k[span]
+        row_k = out[k, cols]
         for lo in range(ks.start, ks.stop, height):
             tile = out[lo : min(lo + height, ks.stop)]
             column = tile[:, k]
             hits = np.count_nonzero(column)
             if not hits:
                 continue
-            part, cand = tile[:, span], _scratch(buf, len(tile), row_k.size)
+            part, cand = tile[:, cols], _scratch(buf, len(tile), row_k.size)
             if 2 * hits >= len(tile):
                 _broadcast_step(part, column, row_k, limit, cand)
             else:
@@ -466,19 +464,16 @@ def _sweep_rows(out, ks, limit, buf, spanned=False):
                 _gather_step(part, hit, column[hit], row_k, limit, cand)
 
 
-def _sweep_block(out, left, right, limit, ks, parts, height, buf, spans=None):
-    """Fold steps ``ks`` into the rows ``parts`` of ``out``, tiles of at most
-    ``height`` rows, with the block's columns of ``left`` fixed meanwhile.
-    With ``spans``, the [a, b) of each step's row of ``right``, a step touches
-    only columns a:b."""
+def _sweep_block(out, left, right, limit, ks, parts, height, buf, cols):
+    """Fold steps ``ks`` into columns ``cols`` of the rows ``parts`` of
+    ``out``, tiles of at most ``height`` rows, with the block's columns of
+    ``left`` fixed meanwhile."""
     tiles = [(lo, min(lo + height, end)) for first, end in parts for lo in range(first, end, height)]
     if not tiles:
         return
     panel = left[:, ks.start : ks.stop].copy().T.copy()  # row k - ks.start is column k
-    right = right[ks.start : ks.stop]
+    right = right[ks.start : ks.stop, cols]
     hits = np.array([np.count_nonzero(panel[:, lo:hi], axis=1) for lo, hi in tiles])
-    if spans is not None:
-        hits[:, [a == b for a, b in spans]] = 0
     dense = 2 * hits >= np.array([hi - lo for lo, hi in tiles])[:, None]
     branch = np.where(dense, _BROADCAST, np.where(hits != 0, _GATHER, 0))
     most = max(hi - lo for lo, hi in tiles) // 4  # distinct entries a table may hold
@@ -488,32 +483,23 @@ def _sweep_block(out, left, right, limit, ks, parts, height, buf, spans=None):
     branch[dense & table_step] = _TABLE
 
     # Group the table steps so that one group's candidate rows fit in a tile.
-    widths = [right.shape[1] if spans is None else spans[k][1] - spans[k][0] for k in tabled]
+    width = right.shape[1]
     cap = _TILE_BYTES // out.itemsize
     bounds, total = [0], 0
-    for i, lanes in enumerate(map(int.__mul__, counts, widths)):
-        if total + lanes > cap:
+    for i, count in enumerate(counts):
+        if total + count * width > cap:
             bounds.append(i)
             total = 0
-        total += lanes
+        total += count * width
     bounds.append(len(tabled))
     starts = np.cumsum([0] + counts).tolist()  # of each table step's entries
-    store = np.empty(min(cap, starts[-1] * right.shape[1]), out.dtype)
+    store = np.empty(min(cap, starts[-1] * width), out.dtype)
 
     for i0, i1 in zip(bounds, bounds[1:]):
-        tables, used = {}, 0
-        if spans is not None:  # a table per step, of its span's columns
-            for i in range(i0, i1):
-                a, b = spans[tabled[i]]
-                gap = (limit - entries[starts[i] : starts[i + 1]])[:, None]
-                table = store[used : used + gap.size * (b - a)].reshape(gap.size, b - a)
-                used += table.size
-                np.maximum(right[tabled[i], a:b], gap, out=table)
-                table -= gap
-                tables[tabled[i]] = table, ranks[i]
-        elif i0 < i1:  # the group's candidate rows as one table
+        tables = {}
+        if i0 < i1:  # the group's candidate rows as one table
             gap = (limit - entries[starts[i0] : starts[i1]])[:, None]
-            table = store[: gap.size * right.shape[1]].reshape(gap.size, right.shape[1])
+            table = store[: gap.size * width].reshape(gap.size, width)
             right.take(np.repeat(tabled[i0:i1], counts[i0:i1]), axis=0, out=table, mode="clip")
             np.maximum(table, gap, out=table)
             table -= gap
@@ -525,7 +511,7 @@ def _sweep_block(out, left, right, limit, ks, parts, height, buf, spans=None):
             todo = plan.nonzero()[0]
             if todo.size:
                 steps = zip((todo + g0).tolist(), plan[todo].tolist())
-                _sweep_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans)
+                _sweep_tile(out[lo:hi, cols], lo, panel, right, limit, steps, tables, buf)
 
 
 def _few_distinct(panel, steps, most):
@@ -571,40 +557,26 @@ def _few_distinct(panel, steps, most):
     return found, counts, entries, ranks
 
 
-def _sweep_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
-    """Run ``steps``, (step, branch) pairs in order, on rows lo:hi of ``out``."""
-    tile = out[lo:hi]
-    size = hi - lo
+def _sweep_tile(tile, lo, panel, right, limit, steps, tables, buf):
+    """Run ``steps``, (step, branch) pairs in order, on ``tile``: the block's
+    window of the rows of ``out`` from ``lo`` on."""
+    hi = lo + len(tile)
+    cand = _scratch(buf, len(tile), tile.shape[1])
     for k, branch in steps:
-        part, row_k, cand = tile, right[k], buf[:size]
-        if spans is not None:
-            a, b = spans[k]
-            part, row_k, cand = tile[:, a:b], row_k[a:b], _scratch(buf, size, b - a)
         if branch == _TABLE:
             table, ranks = tables[k]
-            _table_step(part, table, ranks[lo:hi], cand)
+            _table_step(tile, table, ranks[lo:hi], cand)
         elif branch == _BROADCAST:
-            _broadcast_step(part, panel[k, lo:hi], row_k, limit, cand)
+            _broadcast_step(tile, panel[k, lo:hi], right[k], limit, cand)
         else:
             column = panel[k, lo:hi]
             hit = column.nonzero()[0]
-            _gather_step(part, hit, column[hit], row_k, limit, cand)
+            _gather_step(tile, hit, column[hit], right[k], limit, cand)
 
 
 def _scratch(buf, rows, cols):
     """A contiguous rows x cols array carved from the start of ``buf``."""
     return buf.reshape(-1)[: rows * cols].reshape(rows, cols)
-
-
-def _pivot_spans(pivots, buf):
-    """The [a, b) of each pivot row's nonzero columns, as a list of pairs;
-    (0, 0) for a row of zeros. ``buf`` (at least as many bytes as ``pivots``
-    has entries) holds the nonzero mask."""
-    nonzero = buf.reshape(-1).view(bool)[: pivots.size].reshape(pivots.shape)
-    np.not_equal(pivots, 0, out=nonzero)
-    first = nonzero.argmax(axis=1)
-    end = np.where(nonzero.any(axis=1), nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
-    return list(zip(first.tolist(), end.tolist()))
 
 
 def _table_step(tile, table, ranks, cand):
@@ -653,7 +625,7 @@ def _maxplus_close(data, limit):
     if n <= height:
         # One tile: the plan costs more than it saves. Every row is a pivot
         # row, half a tile at a time, so rows and candidates fit in a tile.
-        _sweep_rows(data, range(n), limit, np.empty((min(n, max(1, height // 2)), n), data.dtype))
+        _sweep_rows(data, range(n), limit, np.empty((min(n, max(1, height // 2)), n), data.dtype), slice(None))
         return
     support = np.empty((n, _block_count(n)), np.uint64)
     for lo in range(0, n, height):
@@ -667,7 +639,7 @@ def _maxplus_close(data, limit):
     del support
     _permute(data, order)
     try:
-        _maxplus_sweep(data, data, data, limit, spanned=True)
+        _maxplus_sweep(data, data, data, limit)
     finally:
         _permute(data, np.argsort(order))
 

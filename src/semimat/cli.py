@@ -168,6 +168,9 @@ def _random_antidist(size, width, rng) -> AntidistMatrix:
 
 
 def _bench_run(op, size, width, seed):
+    """Time one run on the path pinned for the calling thread; its report
+    names that path."""
+    variant = "vector" if kernels.use_vector() else "scalar"
     rng = np.random.default_rng(seed)
     left = _random_antidist(size, width, rng)
     if op == "mul":
@@ -179,35 +182,32 @@ def _bench_run(op, size, width, seed):
     result = work()
     elapsed = time.perf_counter() - start
     lane_updates = size * size * size
-    return result, BenchReport(op, size, width, "", elapsed, lane_updates / elapsed)
+    return result, BenchReport(op, size, width, variant, elapsed, lane_updates / elapsed)
 
 
 def cmd_bench(args) -> int:
     if args.size < 1:
         raise ValueError(f"size must be positive, got {args.size}")
-    if not kernels.use_vector():
-        # Pinned to scalar: nothing to compare against.
+    paths = [kernels.forced_scalar]
+    if kernels.use_vector():
+        paths.append(kernels.forced_vector)
+    else:  # pinned to scalar: nothing to compare against
         print("bench note: vector path unavailable, reporting scalar only")
-        with kernels.forced_scalar():
-            _, report = _bench_run(args.op, args.size, args.width, args.seed)
-        report.variant = "scalar"
-        print(report.line())
-        return 0
-    with kernels.forced_scalar():
-        scalar_result, scalar_report = _bench_run(args.op, args.size, args.width, args.seed)
-    scalar_report.variant = "scalar"
-    with kernels.forced_vector():
-        vector_result, vector_report = _bench_run(args.op, args.size, args.width, args.seed)
-    vector_report.variant = "vector"
-    if scalar_result != vector_result:
+    runs = []
+    for pin in paths:
+        with pin():
+            runs.append(_bench_run(args.op, args.size, args.width, args.seed))
+    results, reports = zip(*runs)
+    if any(result != results[0] for result in results):
         raise ValueError("scalar and vector results differ, refusing to report timings")
-    print(scalar_report.line())
-    print(vector_report.line())
-    speedup = scalar_report.seconds / vector_report.seconds
-    print(
-        f"bench op={args.op} size={args.size} width={args.width} "
-        f"speedup={speedup:.2f} equality=ok"
-    )
+    for report in reports:
+        print(report.line())
+    if len(reports) > 1:
+        speedup = reports[0].seconds / reports[1].seconds
+        print(
+            f"bench op={args.op} size={args.size} width={args.width} "
+            f"speedup={speedup:.2f} equality=ok"
+        )
     return 0
 
 

@@ -580,13 +580,20 @@ SHARES = (0.9, 0.15, 0.0)
 
 
 class Runs(list):
-    """The (lo, hi, steps) of every row span a sweep runs, in order, and in
+    """The (lo, hi, steps) of every row span a sweep runs, in order; in
     ``hits`` the rows outside the pivot rows that hit in each block's columns
-    of the left factor, by the block's first step."""
+    of the left factor, and in ``windows`` the (a, b) of the columns a:b that
+    each block works on, both by the block's first step."""
 
     def __init__(self):
         super().__init__()
         self.hits = {}
+        self.windows = {}
+
+    def clear(self):
+        super().clear()
+        self.hits.clear()
+        self.windows.clear()
 
 
 def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
@@ -598,19 +605,20 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     real_rows, real_block, real_tile = antidist._sweep_rows, antidist._sweep_block, antidist._sweep_tile
     block_steps = []
 
-    def rows_spy(out, ks, limit, buf, spanned=False):
+    def rows_spy(out, ks, limit, buf, cols):
         runs.append((ks.start, ks.stop, ks))
-        real_rows(out, ks, limit, buf, spanned)
+        real_rows(out, ks, limit, buf, cols)
 
-    def block_spy(out, left, right, limit, ks, parts, height, buf, spans=None):
+    def block_spy(out, left, right, limit, ks, parts, height, buf, cols):
         block_steps[:] = [ks]
         hit = left[:, ks.start : ks.stop].any(axis=1)
         runs.hits[ks.start] = {r for first, end in parts for r in range(first, end) if hit[r]}
-        real_block(out, left, right, limit, ks, parts, height, buf, spans)
+        runs.windows[ks.start] = cols.indices(out.shape[1])[:2]
+        real_block(out, left, right, limit, ks, parts, height, buf, cols)
 
-    def tile_spy(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
-        runs.append((lo, hi, block_steps[0]))
-        real_tile(out, lo, hi, panel, right, limit, steps, tables, buf, spans)
+    def tile_spy(tile, lo, panel, right, limit, steps, tables, buf):
+        runs.append((lo, lo + len(tile), block_steps[0]))
+        real_tile(tile, lo, panel, right, limit, steps, tables, buf)
 
     monkeypatch.setattr(antidist, "_sweep_rows", rows_spy)
     monkeypatch.setattr(antidist, "_sweep_block", block_spy)
@@ -622,13 +630,17 @@ def assert_blocks_cover_rows(runs, rows, steps, block, tile_rows, closure):
     """Every block runs its steps on the pivot rows first in a closure, then
     on tiles of at most ``tile_rows`` rows outside them. The tiles of a block
     are disjoint and hold every row that hits in the block's columns; a tile
-    none of whose rows hits may be skipped."""
+    none of whose rows hits may be skipped. A block the sweep skipped, one
+    whose rows of the right factor are all zero, has no window and no run."""
     starts = list(range(0, steps, block))
     assert {ks.start for _, _, ks in runs} <= set(starts)
     for k0 in starts:
         ks = range(k0, min(k0 + block, steps))
         spans = [(lo, hi) for lo, hi, got in runs if got == ks]
         tiles = spans[1:] if closure else spans
+        if k0 not in runs.windows:
+            assert not spans
+            continue
         if closure:
             assert spans[0] == (ks.start, ks.stop)
             assert all(hi <= ks.start or lo >= ks.stop for lo, hi in tiles)
@@ -720,18 +732,30 @@ def test_vector_closure_across_tiles_and_branches(width, cls, monkeypatch):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("block, tile_rows", [(7, 5), (3, 5), (64, 5), (1, 1)])
-def test_blocked_sweep_any_shape(width, block, tile_rows, monkeypatch):
+@pytest.mark.parametrize(
+    "block, tile_rows, blank",
+    [(7, 5, False), (3, 5, False), (64, 5, False), (1, 1, False), (5, 3, True)],
+    ids=["7-5", "3-5", "64-5", "1-1", "5-3-blank"],
+)
+def test_blocked_sweep_any_shape(width, block, tile_rows, blank, monkeypatch):
     """Dimensions that are multiples of neither the block nor the tile, pivot
     rows that straddle tiles, outnumber a tile's rows or cover the whole
-    matrix: the product and the closure equal the oracle and the scalar path."""
+    matrix: the product and the closure equal the oracle and the scalar path.
+    With ``blank``, runs of rows and columns of zeros and a few more at
+    random: the product skips the blocks whose rows of the right factor are
+    all zero, and its windows keep clear of the zero columns at either end."""
     rng = random.Random(f"blocked-{width}-{block}-{tile_rows}")
     limit = sat_limit(width)
     dim = 43
     edges = [(u, v, rng.randint(1, 12)) for u in range(dim) for v in range(dim) if rng.random() < 0.3]
+    b_vals = random_values(rng, dim, dim, limit)
+    if blank:
+        zero_rows = {*range(10, 20), *rng.sample(range(dim), 6)}
+        zero_cols = {*range(4), *range(36, dim), *rng.sample(range(dim), 6)}
+        edges = [(u, v, w) for u, v, w in edges if u not in zero_rows and v not in zero_cols]
+        b_vals = [[0 if r in zero_rows or c in zero_cols else x for c, x in enumerate(row)] for r, row in enumerate(b_vals)]
     m = AntidistMatrix.from_edges(dim, edges, width)
     closure = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, limit), width)
-    b_vals = random_values(rng, dim, dim, limit)
     b = AntidistMatrix.from_lists(b_vals, width)
     product = AntidistMatrix.from_lists(oracle.naive_antidist_mul(m.to_lists(), b_vals, limit), width)
     runs = shrink_sweep(monkeypatch, width, dim, block, tile_rows)
@@ -740,6 +764,9 @@ def test_blocked_sweep_any_shape(width, block, tile_rows, monkeypatch):
     runs.clear()
     assert m * b == product
     assert_blocks_cover_rows(runs, dim, dim, block, tile_rows, closure=False)
+    if blank:
+        assert not {10, 15} & runs.windows.keys()
+        assert runs.windows and all(4 <= a < b <= 36 for a, b in runs.windows.values())
     with kernels.forced_scalar():
         assert m.transitive_closure() == closure
         assert m * b == product
@@ -770,9 +797,58 @@ def test_dense_step_with_few_and_many_distinct_entries(width, monkeypatch):
         got = tile.copy()
         seen.update(dict.fromkeys(seen, 0))
         buf = np.empty_like(got)
-        antidist._sweep_block(got, column[:, None], row_k[None], limit, range(1), ((0, 16),), 16, buf)
+        antidist._sweep_block(got, column[:, None], row_k[None], limit, range(1), ((0, 16),), 16, buf, slice(None))
         assert got.tolist() == want
         assert seen == {"gather": 0, "table": 0, "broadcast": 0, branch: 1}
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
+def test_product_blocks_write_only_their_window(width, cls, monkeypatch):
+    """Each block's rows of the right factor are zero outside a window a:b of
+    their own, which the block's first row does not reach at either end:
+    every tile of the block is the window of its rows and is written only
+    there, and the block whose rows are all zero is skipped. The product
+    equals the oracle and the scalar path."""
+    rng = np.random.default_rng(width)
+    limit = sat_limit(width)
+    rows, inner, cols = 30, 28, 24
+    windows = {0: (3, 9), 7: (10, 21), 14: None, 21: (0, cols)}  # blocks of 7 steps
+    a_vals = rng.integers(1, limit + 1, (rows, inner)) * (rng.random((rows, inner)) < 0.6)
+    b_vals = np.zeros((inner, cols), np.int64)
+    for k0, window in windows.items():
+        if window:
+            part = b_vals[k0 : k0 + 7, slice(*window)]
+            part[...] = rng.integers(1, limit + 1, part.shape) * (rng.random(part.shape) < 0.5)
+            part[0, [0, -1]] = 0
+            part[1, 0] = part[-1, -1] = limit
+    a = AntidistMatrix.from_lists(a_vals, width)
+    b = AntidistMatrix.from_lists(b_vals, width)
+    want = AntidistMatrix.from_lists(oracle.naive_antidist_mul(a_vals.tolist(), b_vals.tolist(), limit), width)
+    if cls is DistMatrix:
+        a, b, want = ~a, ~b, ~want
+    runs = shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5)
+    written = []
+    real = antidist._sweep_tile
+
+    def spy(tile, lo, *args):
+        out = tile.base
+        before = out.copy()
+        real(tile, lo, *args)
+        first = (tile.ctypes.data - out.ctypes.data) // out.itemsize % out.shape[1]
+        changed = np.flatnonzero((out != before).any(axis=0))
+        written.append((runs[-1][2].start, (first, first + tile.shape[1]), changed))
+
+    monkeypatch.setattr(antidist, "_sweep_tile", spy)
+    assert a * b == want
+    assert runs.windows == {k0: window for k0, window in windows.items() if window}
+    assert {k0 for k0, _, _ in written} == {0, 7, 21}
+    for k0, window, changed in written:
+        assert window == windows[k0]
+        assert all(window[0] <= c < window[1] for c in changed.tolist())
+    assert_blocks_cover_rows(runs, rows, inner, 7, 5, closure=False)
+    with kernels.forced_scalar():
+        assert a * b == want
 
 
 # -- planned blocks: every branch at every width ---------------------------------
@@ -839,11 +915,11 @@ def test_planned_tables_split_into_groups(width, monkeypatch):
     visits = []
     real = antidist._sweep_tile
 
-    def spy(out, lo, hi, panel, right, limit, steps, tables, buf, spans):
+    def spy(tile, lo, panel, right, limit, steps, tables, buf):
         steps = list(steps)
         visits.append((lo, [k for k, _ in steps]))
         assert sum(table.size for table, _ in tables.values()) <= 16 * cols
-        real(out, lo, hi, panel, right, limit, steps, tables, buf, spans)
+        real(tile, lo, panel, right, limit, steps, tables, buf)
 
     monkeypatch.setattr(antidist, "_sweep_tile", spy)
     seen = count_branches(monkeypatch)
@@ -977,13 +1053,13 @@ def test_planned_closure_on_graph_shapes(shape, width, monkeypatch):
 
 
 def test_strongly_connected_closure_skips_the_plan(monkeypatch):
-    """A strongly connected graph runs the plain blocked sweep: no order, no
-    permutation and no spans. A graph with a source takes all three."""
+    """A strongly connected graph runs the blocked sweep on the matrix as it
+    is: no order and no permutation. A graph with a source takes both."""
     rng = random.Random("skip")
     dim = 40
     cycle = shaped_graph(rng, "strongly connected", dim)
     shrink_sweep(monkeypatch, 8, dim)
-    calls = count_calls(monkeypatch, "_reach_order", "_permute", "_pivot_spans")
+    calls = count_calls(monkeypatch, "_reach_order", "_permute")
     m = AntidistMatrix.from_edges(dim, cycle, 8)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, cycle, 255), 8)
     assert m.transitive_closure() == want
@@ -992,14 +1068,14 @@ def test_strongly_connected_closure_skips_the_plan(monkeypatch):
     m = AntidistMatrix.from_edges(dim, source, 8)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, source, 255), 8)
     assert m.transitive_closure() == want
-    assert [len(made) for made in calls.values()] == [1, 2, 6]  # 6 blocks of 7 steps
+    assert [len(made) for made in calls.values()] == [1, 2]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_chain_spans(width, monkeypatch):
     """On a path through relabelled vertices the order follows the path, and
-    after a block's pivot phase pivot row k reaches exactly the columns
-    k + 1 up to one past the block: a step touches only that span."""
+    when a block starts its pivot row k holds only column k + 1, so the
+    block's window runs from its first step + 1 to one past the block."""
     rng = random.Random(f"chain-{width}")
     dim, block = 30, 7
     label = list(range(dim))
@@ -1007,37 +1083,36 @@ def test_chain_spans(width, monkeypatch):
     edges = [(label[v], label[v + 1], rng.randint(1, 5)) for v in range(dim - 1)]
     m = AntidistMatrix.from_edges(dim, edges, width)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
-    shrink_sweep(monkeypatch, width, dim, block)
-    calls = count_calls(monkeypatch, "_reach_order", "_pivot_spans")
+    runs = shrink_sweep(monkeypatch, width, dim, block)
+    calls = count_calls(monkeypatch, "_reach_order")
     assert m.transitive_closure() == want
     assert calls["_reach_order"][0].tolist() == label
-    spans = [
-        [(k + 1, min(k0 + block + 1, dim)) if k + 1 < dim else (0, 0) for k in range(k0, min(k0 + block, dim))]
-        for k0 in range(0, dim, block)
-    ]
-    assert calls["_pivot_spans"] == spans
+    assert runs.windows == {k0: (k0 + 1, min(k0 + block + 1, dim)) for k0 in range(0, dim, block)}
     with kernels.forced_scalar():
         assert m.transitive_closure() == want
 
 
-def nonzero_span(row):
-    """The [a, b) of a row's nonzero columns, None for a row of zeros."""
-    nonzero = np.flatnonzero(row)
+def nonzero_span(rows):
+    """The [a, b) of the nonzero columns of a row or of a stack of rows,
+    None if they are all zero."""
+    nonzero = np.flatnonzero(np.reshape(rows, (-1, np.shape(rows)[-1])).any(axis=0))
     return (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else None
 
 
 def record_pivot_steps(monkeypatch):
     """Record every step that a pivot phase (_sweep_rows) runs on some rows as
-    (k, tile columns, row columns, live, start): the columns of the tile and
-    of row k that the step read, the span of row k's nonzero columns when the
-    step ran, and that span when the block's pivot phase began."""
+    (k, tile columns, row columns, live, start, hull): the columns of the
+    tile and of row k that the step read, the span of row k's nonzero columns
+    when the step ran and when the block's pivot phase began, and the span of
+    all the block's pivot rows' nonzero columns when it began."""
     steps, phase = [], {}
     real_rows = antidist._sweep_rows
 
-    def rows_spy(out, ks, limit, buf, spanned=False):
-        phase.update(out=out, start={k: nonzero_span(out[k]) for k in ks})
+    def rows_spy(out, ks, limit, buf, cols):
+        pivots = out[ks.start : ks.stop]
+        phase.update(out=out, start={k: nonzero_span(out[k]) for k in ks}, hull=nonzero_span(pivots))
         try:
-            real_rows(out, ks, limit, buf, spanned)
+            real_rows(out, ks, limit, buf, cols)
         finally:
             phase.clear()
 
@@ -1051,7 +1126,8 @@ def record_pivot_steps(monkeypatch):
                 out, row_k = phase["out"], args[row_arg]
                 k = (row_k.ctypes.data - out.ctypes.data) // out.itemsize // out.shape[1]
                 live = nonzero_span(out[k])
-                steps.append((k, columns(out, args[0]), columns(out, row_k), live, phase["start"][k]))
+                tile, row = columns(out, args[0]), columns(out, row_k)
+                steps.append((k, tile, row, live, phase["start"][k], phase["hull"]))
             real(*args)
 
         return spy
@@ -1062,16 +1138,22 @@ def record_pivot_steps(monkeypatch):
     return steps
 
 
+def inside(span, window):
+    """Whether the span (a, b), or None for no columns, lies in the window."""
+    return span is None or window[0] <= span[0] and span[1] <= window[1]
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("cls", (AntidistMatrix, DistMatrix))
 @pytest.mark.parametrize("shape", ("sccs", "strongly connected"))
 def test_pivot_steps_touch_their_live_span(shape, width, cls, monkeypatch):
-    """On the ordered, spanned sweep each pivot-phase step touches exactly
-    the span of its pivot row's nonzero columns as it stands at that step. In
-    these graphs of several components an earlier step of a block widens a
-    later pivot row, so a span read at the block's start would miss updates;
-    the closures equal Dijkstra and the scalar path. A strongly connected
-    graph's pivot steps touch whole rows."""
+    """Each pivot-phase step touches exactly its block's window, the span of
+    the nonzero columns of all the block's pivot rows when the block began,
+    and so its pivot row's live span. In these graphs of several components
+    an earlier step of a block widens a later pivot row, inside the window,
+    and some windows are narrower than a row; the closures equal Dijkstra and
+    the scalar path. A strongly connected graph's pivot steps keep to their
+    windows too."""
     rng = random.Random(f"live-spans-{shape}-{width}")
     dim = 45
     edges = shaped_graph(rng, shape, dim)
@@ -1085,44 +1167,39 @@ def test_pivot_steps_touch_their_live_span(shape, width, cls, monkeypatch):
     inplace.transitive_close()
     assert inplace == want
     assert steps
+    assert all(tile == row == hull and inside(live, hull) for _, tile, row, live, _, hull in steps)
     if shape == "sccs":
-        assert all(tile == row == live for _, tile, row, live, _ in steps)
-        assert any(live != start for *_, live, start in steps)
-    else:
-        assert all(tile == row == (0, dim) for _, tile, row, _, _ in steps)
+        assert any(live != start for *_, live, start, _ in steps)
+        assert any(hull != (0, dim) for *_, hull in steps)
     with kernels.forced_scalar():
         assert m.transitive_closure() == want
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_spanned_pivot_phase_reads_spans_live_and_skips_rows_of_zeros(width, monkeypatch):
-    """Step 0 widens pivot row 1, which at first holds only column 0, to the
-    far columns of row 0; step 1 then touches that wider span. Pivot row 2 is
-    all zero and its step is skipped although its column hits, while the
-    unspanned phase runs it on whole rows. Both equal the scalar sweep."""
+    """In blocks of 3, step 0 widens pivot row 1, which at first holds only
+    column 0, to the far columns of row 0, inside the block's window 0:10;
+    step 1 then reads the wider row for pivot row 2. The next block's pivot rows are all zero
+    although their columns hit, so the sweep skips it. The sweep equals the
+    scalar one."""
     limit = sat_limit(width)
     rng = np.random.default_rng(width)
     dim = 12
     data = np.zeros((dim, dim), kernels.dtype_for(width))
-    data[0, 7:10] = rng.integers(1, limit + 1, 3)
+    data[0, 7:10] = rng.integers(2, limit + 1, 3)
     data[1, 0] = limit - 1
-    data[3:, 1] = rng.integers(1, limit + 1, dim - 3)
-    data[3:, 2] = rng.integers(1, limit + 1, dim - 3)
-    data[3:, 3:] = rng.integers(0, limit + 1, (dim - 3, dim - 3))
+    data[2, 1] = limit
+    data[6:, 1:] = rng.integers(1, limit + 1, (dim - 6, dim - 1))
     work = data.tolist()
     antidist._maxplus_sweep_scalar(work, work, work, limit)
+    runs = shrink_sweep(monkeypatch, width, dim, block=3, tile_rows=4)
     steps = record_pivot_steps(monkeypatch)
-    for spanned in (True, False):
-        got = data.copy()
-        steps.clear()
-        antidist._sweep_rows(got, range(dim), limit, np.empty_like(got), spanned)
-        assert got.tolist() == work
-        ran = {k: tile for k, tile, *_ in steps}
-        if spanned:
-            assert ran[1] == (0, 10) and [live for k, *_, live, _ in steps if k == 1] == [(0, 10)]
-            assert 2 not in ran and all(tile == row == live for _, tile, row, live, _ in steps)
-        else:
-            assert ran[1] == ran[2] == (0, dim)
+    got = data.copy()
+    antidist._maxplus_sweep(got, got, got, limit)
+    assert got.tolist() == work
+    assert runs.windows[0] == (0, 10) and 3 not in runs.windows
+    assert not [ks for *_, ks in runs if ks.start == 3]
+    assert [(tile, live, start) for k, tile, _, live, start, _ in steps if k == 1] == [((0, 10), (0, 10), (0, 1))]
 
 
 @pytest.mark.parametrize("block", (5, 128))
