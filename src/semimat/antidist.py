@@ -46,11 +46,12 @@ with no nonzero column is skipped.
 
 A vector closure that fits in one tile runs the in-order sweep on all rows.
 A larger one is planned from the matrix's support (its nonzero entries as
-packed bits). If the support is strongly connected, the blocked sweep runs
-on the matrix as it is. Otherwise the vertices are relabelled in
-reachability order, a depth-first order read with the Boolean closure,
-which keeps each block's window narrow. The matrix is permuted in place,
-the blocked sweep runs, and the inverse permutation restores the labels in
+packed bits): two depth-first searches find its strongly connected
+components, sinks first. With one component the blocked sweep runs on the
+matrix as it is. Otherwise the vertices are relabelled component after
+component, sinks first. Then a row hits step k only if it has an edge into
+k's component, so most tiles skip. The matrix is permuted in place, the
+blocked sweep runs, and the inverse permutation restores the labels in
 place.
 """
 
@@ -64,7 +65,6 @@ from .boolmat import (
     _edge_table,
     _Matrix,
     _pack_bits,
-    _table_sweep,
     _unpack_bits,
 )
 from .scalars import sat_limit
@@ -396,23 +396,24 @@ class DistMatrix(_LaneMatrix):
 # value the same step wrote.
 #
 # A closure on the vector path that does not fit in one tile is planned first
-# (_maxplus_close). The support's Boolean closure bounds the saturated
-# closure's support, because a lane is nonzero only where a path exists. The
-# plan has three parts:
+# (_maxplus_close). A lane is nonzero only where a path exists, so the
+# support's structure bounds the saturated closure's. The plan has three
+# parts:
 #
-# - Strongly connected test: breadth-first searches from vertex 0 along the
-#   packed support and its transpose. If both reach every vertex, the
-#   Boolean closure is all ones, every window would be full, and the blocked
-#   sweep above runs on the matrix as it is.
-# - Order (_reach_order): the support is closed in place by the Four Russians
-#   sweep. The order is the reverse postorder of a depth-first search along
-#   the closure's rows, with roots taken in ascending in-reach count, so
-#   sources come first (Purdom 1970, Tarjan 1972). Each strongly connected
-#   component's vertices then gather at its first vertex's place, in their
-#   input order. The components stay in topological order, so a row's
-#   reachable columns tend to follow it in one run, which keeps each block's
-#   window narrow, and rows that reach no pivot of a block leave their tiles
-#   without a hit.
+# - Components (_components): Kosaraju's two depth-first searches (Sharir
+#   1981), one along the transposed support (_transpose_bits: three masked
+#   swaps per 8x8 bit block) and one along the support, in one search
+#   function over packed rows (_search). The second search's trees are the
+#   strongly connected components, sinks first (Purdom 1970). With one
+#   component every window would be full, and the blocked sweep above runs
+#   on the matrix as it is.
+# - Order: otherwise the components follow each other sinks first, each
+#   component's vertices in their input order. At step k a row hits column
+#   k when a path from it reaches k through earlier pivots only, and those
+#   are ancestors of k. Sinks first, every ancestor of k outside k's
+#   component comes after k, so only a row with an edge into k or into an
+#   earlier vertex of k's component hits: most tiles skip every step, and
+#   the pivot phase does the work.
 # - Relabel in place (_permute): columns move _BLOCK rows at a time through
 #   one buffer, then rows move along the permutation's cycles. A closure
 #   commutes with relabelling rows and columns together, so the relabelled
@@ -630,13 +631,12 @@ def _maxplus_close(data, limit):
     support = np.empty((n, _block_count(n)), np.uint64)
     for lo in range(0, n, height):
         support[lo : lo + height] = _pack_bits(data[lo : lo + height] != 0)
-    if _reaches_all(support) and _reaches_all(_transpose_bits(support)):
-        del support
+    component = _components(support)
+    del support
+    if not component.any():  # strongly connected: every window would be full
         _maxplus_sweep(data, data, data, limit)
         return
-    _table_sweep(support, support, support)  # now row i holds the vertices i reaches
-    order = _reach_order(support)
-    del support
+    order = np.argsort(component, kind="stable")
     _permute(data, order)
     try:
         _maxplus_sweep(data, data, data, limit)
@@ -644,18 +644,52 @@ def _maxplus_close(data, limit):
         _permute(data, np.argsort(order))
 
 
-def _reaches_all(blocks):
-    """Whether a breadth-first search from vertex 0 along the packed rows
-    ``blocks`` of a square Boolean matrix reaches every vertex."""
+def _components(support):
+    """The strongly connected components of the square Boolean matrix held in
+    the packed rows ``support``, sinks first: each vertex's component index,
+    numbered so that no edge runs from a component to a later one.
+
+    Kosaraju's two passes (Sharir 1981): a depth-first search of the
+    transpose, then one of the matrix with roots in reverse order of the
+    first search's finish times. Each tree of the second search is one
+    component, and the trees come in reverse topological order (Purdom 1970).
+    """
+    n = support.shape[0]
+    finished = [v for tree in _search(_transpose_bits(support), range(n)) for v in tree]
+    component = np.empty(n, np.intp)
+    for index, tree in enumerate(_search(support, reversed(finished))):
+        component[tree] = index
+    return component
+
+
+def _search(blocks, roots):
+    """Depth-first search along the packed rows ``blocks`` of a square Boolean
+    matrix from each of ``roots`` not yet reached, in turn. Returns the search
+    trees, each as the list of its vertices in the order they finish.
+
+    The unvisited vertices are the bits of one Python int, so a vertex's next
+    unvisited successor is the lowest bit of its row ANDed with them."""
     n = blocks.shape[0]
-    reached = np.zeros(n, bool)
-    reached[0] = True
-    frontier = np.zeros(1, np.intp)
-    while frontier.size:
-        step = _unpack_bits(np.bitwise_or.reduce(blocks[frontier], axis=0, keepdims=True), n)[0]
-        frontier = np.flatnonzero((step != 0) & ~reached)
-        reached[frontier] = True
-    return bool(reached.all())
+    bits = memoryview(blocks.astype("<u8", copy=False)).cast("B")
+    size = blocks.shape[1] * 8
+    unvisited = (1 << n) - 1
+    trees = []
+    for root in roots:
+        if not unvisited >> root & 1:
+            continue
+        unvisited ^= 1 << root
+        stack, post = [root], []
+        while stack:
+            v = stack[-1]
+            free = int.from_bytes(bits[v * size : (v + 1) * size], "little") & unvisited
+            if free:
+                low = free & -free
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                post.append(stack.pop())
+        trees.append(post)
+    return trees
 
 
 _TRANSPOSE_8X8 = tuple(  # (shift, mask) of the three swaps that transpose an 8x8 bit block
@@ -689,59 +723,6 @@ def _transpose_bits(blocks):
         word = np.ascontiguousarray(cells.reshape(8, side).T).view(np.uint8).reshape(side, 8, 8)
         out[:, w] = np.ascontiguousarray(word.transpose(0, 2, 1)).view("<u8").reshape(-1)[:n]
     return out
-
-
-def _reach_order(closure):
-    """Vertex order for the closure sweep of a graph, as an index array,
-    from the packed rows of the graph's Boolean closure.
-
-    The reverse postorder of a depth-first search along the closure's rows,
-    which reaches from each root what a search of the graph would. Roots are
-    taken in ascending in-reach order, so sources come first. Then the
-    vertices of each strongly connected component gather at the place of its
-    first one, in their own order.
-    """
-    n = closure.shape[0]
-    in_reach = np.zeros(n, np.intp)
-    for lo in range(0, n, _BLOCK):
-        in_reach += _unpack_bits(closure[lo : lo + _BLOCK], n).sum(axis=0, dtype=np.intp)
-
-    bits = memoryview(closure.astype("<u8", copy=False)).cast("B")
-    size = closure.shape[1] * 8
-    unvisited = (1 << n) - 1
-    post = []
-    for root in np.argsort(in_reach, kind="stable").tolist():
-        if not unvisited >> root & 1:
-            continue
-        unvisited ^= 1 << root
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            free = int.from_bytes(bits[v * size : (v + 1) * size], "little") & unvisited
-            if free:
-                low = free & -free
-                unvisited ^= low
-                stack.append(low.bit_length() - 1)
-            else:
-                post.append(stack.pop())
-    place = np.empty(n, np.intp)
-    place[post] = np.arange(n - 1, -1, -1)
-
-    # Vertices on a cycle share a component exactly when their closure rows
-    # are equal; any other vertex is a component of its own.
-    ranked = np.lexsort(closure.T)
-    rows = closure[ranked]
-    starts = np.ones(n, bool)
-    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    del rows
-    component = np.empty(n, np.intp)
-    component[ranked] = np.cumsum(starts)
-    vertex = np.arange(n)
-    on_cycle = (closure[vertex, vertex >> 6] >> (vertex & 63).astype(np.uint64)) & np.uint64(1)
-    component = np.where(on_cycle != 0, component, n + 1 + vertex)
-    first = np.full(2 * n + 1, n)
-    np.minimum.at(first, component, place)
-    return np.lexsort((vertex, first[component]))
 
 
 def _permute(data, order):

@@ -949,7 +949,7 @@ def planned_graph(rng, dim, strongly_connected):
 @pytest.mark.parametrize("strongly_connected", (False, True))
 def test_planned_closure_takes_every_branch(width, strongly_connected, monkeypatch):
     """Closures whose tiles skip, gather, take the table and broadcast, on
-    the plain and on the ordered, spanned sweep, equal Dijkstra and the
+    the matrix as it is and relabelled sinks first, equal Dijkstra and the
     scalar path for both matrix types."""
     rng = random.Random(f"planned-{width}-{strongly_connected}")
     dim = 48
@@ -958,7 +958,7 @@ def test_planned_closure_takes_every_branch(width, strongly_connected, monkeypat
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
     runs = shrink_sweep(monkeypatch, width, dim, block=8, tile_rows=16)
     seen = count_branches(monkeypatch)
-    calls = count_calls(monkeypatch, "_reach_order")
+    calls = count_calls(monkeypatch, "_components", "_permute")
     for m, closed in ((anti, want), (~anti, ~want)):
         inplace = m.copy()
         inplace.transitive_close()
@@ -969,7 +969,7 @@ def test_planned_closure_takes_every_branch(width, strongly_connected, monkeypat
         with kernels.forced_scalar():
             assert m.transitive_closure() == closed
     assert all(seen.values())
-    assert len(calls["_reach_order"]) == (0 if strongly_connected else 2)
+    assert_plans(calls, 2, strongly_connected)
 
 
 def test_closure_in_one_tile_skips_the_plan(monkeypatch):
@@ -978,11 +978,11 @@ def test_closure_in_one_tile_skips_the_plan(monkeypatch):
     rng = random.Random("one tile")
     dim = 40
     edges = shaped_graph(rng, "sccs", dim)
-    calls = count_calls(monkeypatch, "_reach_order", "_sweep_block")
+    calls = count_calls(monkeypatch, "_components", "_sweep_block")
     m = DistMatrix.from_edges(dim, edges, 16)
     want = ~AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(16)), 16)
     assert m.transitive_closure() == want
-    assert calls == {"_reach_order": [], "_sweep_block": []}
+    assert calls == {"_components": [], "_sweep_block": []}
 
 
 # -- closure plan: order, spans and the strongly connected skip ----------------
@@ -1029,19 +1029,29 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
+def assert_plans(calls, closures, strongly_connected):
+    """Each of ``closures`` closures larger than one tile found its
+    components once. A strongly connected graph has one component and is not
+    relabelled; any other graph is relabelled and restored."""
+    assert len(calls["_components"]) == closures
+    assert all((component.max() == 0) == strongly_connected for component in calls["_components"])
+    assert len(calls["_permute"]) == (0 if strongly_connected else 2 * closures)
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_planned_closure_on_graph_shapes(shape, width, monkeypatch):
     """Closures of graphs with several components, paths, acyclic graphs and
     strongly connected graphs equal Dijkstra and the scalar path, for both
-    matrix types; only the strongly connected one skips the order."""
+    matrix types; only the strongly connected one has one component and
+    skips the relabelling."""
     rng = random.Random(f"plan-{shape}-{width}")
     dim = 43
     edges = shaped_graph(rng, shape, dim)
     anti = AntidistMatrix.from_edges(dim, edges, width)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
     shrink_sweep(monkeypatch, width, dim)
-    calls = count_calls(monkeypatch, "_reach_order")
+    calls = count_calls(monkeypatch, "_components", "_permute")
     for m, closed in ((anti, want), (~anti, ~want)):
         inplace = m.copy()
         inplace.transitive_close()
@@ -1049,33 +1059,38 @@ def test_planned_closure_on_graph_shapes(shape, width, monkeypatch):
         assert m.transitive_closure() == closed
         with kernels.forced_scalar():
             assert m.transitive_closure() == closed
-    assert len(calls["_reach_order"]) == (0 if shape == "strongly connected" else 4)
+    assert_plans(calls, 4, shape == "strongly connected")
 
 
 def test_strongly_connected_closure_skips_the_plan(monkeypatch):
-    """A strongly connected graph runs the blocked sweep on the matrix as it
-    is: no order and no permutation. A graph with a source takes both."""
+    """A strongly connected graph has one component and runs the blocked
+    sweep on the matrix as it is, with no permutation. A graph with a source
+    has several components and is relabelled and restored."""
     rng = random.Random("skip")
     dim = 40
     cycle = shaped_graph(rng, "strongly connected", dim)
     shrink_sweep(monkeypatch, 8, dim)
-    calls = count_calls(monkeypatch, "_reach_order", "_permute")
+    calls = count_calls(monkeypatch, "_components", "_permute")
     m = AntidistMatrix.from_edges(dim, cycle, 8)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, cycle, 255), 8)
     assert m.transitive_closure() == want
-    assert all(not made for made in calls.values())
+    assert_plans(calls, 1, True)
+    for made in calls.values():
+        made.clear()
     source = [(u, v, w) for u, v, w in cycle if v != 0]  # nothing reaches vertex 0 now
     m = AntidistMatrix.from_edges(dim, source, 8)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, source, 255), 8)
     assert m.transitive_closure() == want
-    assert [len(made) for made in calls.values()] == [1, 2]
+    assert_plans(calls, 1, False)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_chain_spans(width, monkeypatch):
-    """On a path through relabelled vertices the order follows the path, and
-    when a block starts its pivot row k holds only column k + 1, so the
-    block's window runs from its first step + 1 to one past the block."""
+    """On a path through relabelled vertices every vertex is a component of
+    its own, and sinks first puts them in reverse path order. Then row k
+    holds column k - 1 and, once earlier blocks have run, every column
+    before it, so each block's window runs from column 0 to the block's
+    last step - 1."""
     rng = random.Random(f"chain-{width}")
     dim, block = 30, 7
     label = list(range(dim))
@@ -1084,12 +1099,48 @@ def test_chain_spans(width, monkeypatch):
     m = AntidistMatrix.from_edges(dim, edges, width)
     want = AntidistMatrix.from_lists(oracle.apsp_dijkstra(dim, edges, sat_limit(width)), width)
     runs = shrink_sweep(monkeypatch, width, dim, block)
-    calls = count_calls(monkeypatch, "_reach_order")
+    calls = count_calls(monkeypatch, "_components")
     assert m.transitive_closure() == want
-    assert calls["_reach_order"][0].tolist() == label
-    assert runs.windows == {k0: (k0 + 1, min(k0 + block + 1, dim)) for k0 in range(0, dim, block)}
+    assert np.argsort(calls["_components"][0]).tolist() == label[::-1]
+    assert runs.windows == {k0: (0, min(k0 + block, dim) - 1) for k0 in range(0, dim, block)}
     with kernels.forced_scalar():
         assert m.transitive_closure() == want
+
+
+@pytest.mark.parametrize("shape", SHAPES + ("loops and isolated vertices",))
+def test_components_sinks_first(shape):
+    """The components partition the vertices exactly as mutual reachability
+    in the Boolean closure by squaring does, and they come sinks first: no
+    edge runs from a component to a later one."""
+    rng = random.Random(f"components-{shape}")
+    dim = 70  # two words a packed row
+    if shape in SHAPES:
+        pairs = {(u, v) for u, v, _ in shaped_graph(rng, shape, dim)}
+    else:
+        isolated = set(rng.sample(range(dim), 8))
+        pairs = {(v, v) for v in rng.sample(range(dim), 12)}  # some on isolated vertices
+        pairs |= {
+            (u, v) for u in range(dim) for v in range(dim)
+            if u != v and not {u, v} & isolated and rng.random() < 0.03
+        }
+    adjacency = [[int((u, v) in pairs) for v in range(dim)] for u in range(dim)]
+    reach = oracle.closure_by_squaring(adjacency)
+    component = antidist._components(BoolMatrix.from_lists(adjacency).blocks).tolist()
+    assert set(component) == set(range(max(component) + 1))
+    for u in range(dim):
+        for v in range(dim):
+            assert (component[u] == component[v]) == (u == v or reach[u][v] == reach[v][u] == 1)
+    assert all(component[u] >= component[v] for u, v in pairs)
+
+
+@pytest.mark.parametrize("dim", (1, 7, 63, 64, 65, 130, 200))
+def test_transpose_bits(dim):
+    """The packed transpose equals the unpacked bits transposed and packed
+    again, with zero padding bits in a partial last word."""
+    rng = np.random.default_rng(dim)
+    blocks = BoolMatrix.from_lists((rng.random((dim, dim)) < 0.3).astype(int)).blocks
+    bits = np.unpackbits(blocks.astype("<u8").view(np.uint8), axis=1, count=dim, bitorder="little")
+    assert np.array_equal(antidist._transpose_bits(blocks), BoolMatrix.from_lists(bits.T).blocks)
 
 
 def nonzero_span(rows):
@@ -1284,8 +1335,8 @@ def test_planned_blocks_allocate_less_than_the_matrix():
 @pytest.mark.parametrize("shape", ("chained clusters", "strongly connected"))
 def test_closure_at_full_block_and_tile_size(shape, cls, monkeypatch):
     """At the real _BLOCK and _TILE_BYTES an n=400 w32 closure (327 rows per
-    tile) runs the plan and the planned blocks: chained clusters take the
-    ordered, spanned sweep and a cycle with chords the plain one. Every row
+    tile) runs the plan and the planned blocks: chained clusters are
+    relabelled sinks first and a cycle with chords is swept as it is. Every row
     equals Dijkstra; the clusters also equal the scalar path, which would take
     seconds on the cycle's dense closure."""
     rng = random.Random(f"full-size-{shape}")
@@ -1300,9 +1351,9 @@ def test_closure_at_full_block_and_tile_size(shape, cls, monkeypatch):
     if cls is DistMatrix:
         m, want = ~m, ~want
     assert dim > antidist._TILE_BYTES // m.data[0].nbytes
-    calls = count_calls(monkeypatch, "_reach_order", "_sweep_block")
+    calls = count_calls(monkeypatch, "_components", "_permute", "_sweep_block")
     assert m.transitive_closure() == want
-    assert len(calls["_reach_order"]) == (shape == "chained clusters")
+    assert_plans(calls, 1, shape == "strongly connected")
     assert len(calls["_sweep_block"]) == -(-dim // antidist._BLOCK)
     if shape == "chained clusters":
         with kernels.forced_scalar():
