@@ -4,11 +4,13 @@ The format is one header line ``p <vertex_count>`` followed by one edge per
 line, ``u v`` or ``u v w``. ``#`` starts a comment, blank lines are ignored,
 and edges without a weight get weight 1.
 
-The body is read as one int64 table by a single ``np.loadtxt`` call, with its
-ranges checked by whole-column reductions. The line loop runs only when that
-fails or finds a fault, to name the line, or for the rare body it cannot
-take: 2- and 3-field lines mixed, non-ASCII text outside comments (such
-as a non-ASCII digit), ``1_0`` or an integer beyond int64.
+Every body becomes one (m, 3) int64 table. It is read by a single
+``np.loadtxt`` call, with its ranges checked by whole-column reductions. The
+line loop runs only when that fails or finds a fault, to name the line, or
+for the rare body it cannot take: 2- and 3-field lines mixed, non-ASCII text
+outside comments (such as a non-ASCII digit) or ``1_0``. Both readers end in
+the same table, so a parsed graph has one edge type. A field beyond int64
+is refused, naming its line.
 """
 
 from collections.abc import Sequence
@@ -34,8 +36,8 @@ class GraphParseError(ValueError):
 class EdgeTable(Sequence):
     """Parsed edges: an (m, 3) int64 array of rows (u, v, w), read as a
     sequence of (u, v, w) tuples of ints that compares equal to a list of
-    them. ``np.asarray`` returns the array itself, so the adjacency builders
-    read it without a copy."""
+    them. A slice is the EdgeTable of those rows. ``np.asarray`` returns the
+    array itself, so the adjacency builders read it without a copy."""
 
     __slots__ = ("array",)
 
@@ -46,7 +48,8 @@ class EdgeTable(Sequence):
         return len(self.array)
 
     def __getitem__(self, i):
-        return tuple(self.array[i].tolist())
+        rows = self.array[i]
+        return EdgeTable(rows) if isinstance(i, slice) else tuple(rows.tolist())
 
     def __iter__(self):
         return map(tuple, self.array.tolist())
@@ -74,21 +77,21 @@ def parse_edge_list(text: str) -> GraphSpec:
     """Parse edge-list text into a validated GraphSpec.
 
     Vertex ids must lie in [0, vertex_count) and weights must be nonnegative
-    integers; whether a weight fits a lane width is checked when the matrix
-    is built. Problems raise GraphParseError naming the line and the value.
-    The edges are an EdgeTable when the body is read as one table, else the
-    line loop's list of tuples; either compares equal to that list.
+    integers that fit int64; whether a weight fits a lane width is checked
+    when the matrix is built. Problems raise GraphParseError naming the line
+    and the value. The edges are always an EdgeTable over an (m, 3) int64
+    array, whichever reader took the body, and ``weighted`` says whether any
+    line gave a weight.
     """
     lines = text.splitlines()
     count, first = _header(lines)
     table = _read_integers(lines[first:], comments="#")
-    if table is not None and table.shape[1] in (2, 3):
-        if table.min() >= 0 and table[:, :2].max() < count:
-            weighted = table.shape[1] == 3
-            if not weighted:
-                table = np.column_stack((table, np.ones(len(table), np.int64)))
-            return GraphSpec(count, EdgeTable(table), weighted)
-    return _parse_lines(lines, count, first)
+    if table is None or table.shape[1] not in (2, 3) or table.min() < 0 or table[:, :2].max() >= count:
+        table = _parse_lines(lines, count, first)
+    weighted = table.shape[1] == 3
+    if not weighted:
+        table = np.column_stack((table, np.ones(len(table), np.int64)))
+    return GraphSpec(count, EdgeTable(table), weighted)
 
 
 def _header(lines):
@@ -111,10 +114,12 @@ def _header(lines):
 
 
 def _parse_lines(lines, count, first):
-    """The edges of lines[first:], read one line at a time: the first
-    faulty line raises the GraphParseError that names it."""
+    """The edges of lines[first:], read one line at a time, as an int64
+    table: (m, 2) when no line has a weight, else (m, 3) with weight 1 for
+    the lines without one. The first faulty line raises the GraphParseError
+    that names it."""
     edges = []
-    weighted = False
+    cols = 2
     for lineno, raw in enumerate(lines[first:], start=first + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,20 +131,17 @@ def _parse_lines(lines, count, first):
             fields = [int(p) for p in parts]
         except ValueError:
             raise GraphParseError(f"non-integer field in {line!r}", lineno) from None
-        u, v = fields[0], fields[1]
-        if not 0 <= u < count:
-            raise GraphParseError(f"source vertex {u} out of range [0, {count})", lineno)
-        if not 0 <= v < count:
-            raise GraphParseError(f"target vertex {v} out of range [0, {count})", lineno)
-        if len(fields) == 3:
-            w = fields[2]
-            weighted = True
-            if w < 0:
-                raise GraphParseError(f"negative weight {w}", lineno)
-        else:
-            w = 1
+        u, v, w = fields + [1] * (3 - len(fields))
+        for end, value in (("source", u), ("target", v)):
+            if not 0 <= value < count:
+                raise GraphParseError(f"{end} vertex {value} out of range [0, {count})", lineno)
+        if w < 0:
+            raise GraphParseError(f"negative weight {w}", lineno)
+        if (big := max(fields)) >= 1 << 63:
+            raise GraphParseError(f"value {big} does not fit int64", lineno)
+        cols = max(cols, len(fields))
         edges.append((u, v, w))
-    return GraphSpec(count, edges, weighted)
+    return np.array(edges, dtype=np.int64).reshape(-1, 3)[:, :cols]
 
 
 def bool_adjacency(spec: GraphSpec) -> BoolMatrix:

@@ -124,16 +124,18 @@ def as_lanes(values, width: int, noun: str = "entry"):
     return lanes
 
 
-def _pair(a, b, width, vector):
-    """Both operands as checked flat lanes: arrays for the vector path, lists
-    of Python ints for the scalar path."""
+def _lanewise(a, b, width, np_form, py_form):
+    """A lane op on one path, read once: both operands checked as flat lanes
+    of equal length, then ``np_form`` on their arrays (vector path) or
+    ``py_form`` on their lists of Python ints (scalar path), as a list."""
+    vector = use_vector()
     x, y = as_lanes(a, width), as_lanes(b, width)
     block = lane_count(width)
     if x.ndim != 1 or y.ndim != 1 or x.size % block or y.size % block:
         raise ValueError(f"expected a flat sequence of a multiple of {block} lanes")
     if x.size != y.size:
         raise ValueError(f"lane count mismatch: {x.size} vs {y.size}")
-    return (x, y) if vector else (x.tolist(), y.tolist())
+    return np_form(x, y).tolist() if vector else py_form(x.tolist(), y.tolist())
 
 
 def clonenot(value: int, width: int = 8, count: int | None = None) -> list[int]:
@@ -155,31 +157,23 @@ def clonenot(value: int, width: int = 8, count: int | None = None) -> list[int]:
 
 def subsat(a, b, width: int = 8) -> list[int]:
     """Lanewise saturating subtraction max(a - b, 0)."""
-    vector = use_vector()
-    x, y = _pair(a, b, width, vector)
-    return np_subsat(x, y).tolist() if vector else py_subsat(x, y)
+    return _lanewise(a, b, width, np_subsat, py_subsat)
 
 
 def addsat(a, b, width: int = 8) -> list[int]:
     """Lanewise saturating addition min(a + b, S)."""
-    vector = use_vector()
-    x, y = _pair(a, b, width, vector)
-    limit = sat_limit(width)
-    return np_addsat(x, y, limit).tolist() if vector else py_addsat(x, y, limit)
+    return _lanewise(a, b, width, lambda x, y: np_addsat(x, y, sat_limit(width)),
+                     lambda x, y: py_addsat(x, y, sat_limit(width)))
 
 
 def maxlanes(a, b, width: int = 8) -> list[int]:
     """Lanewise maximum."""
-    vector = use_vector()
-    x, y = _pair(a, b, width, vector)
-    return np.maximum(x, y).tolist() if vector else py_max(x, y)
+    return _lanewise(a, b, width, np.maximum, py_max)
 
 
 def minlanes(a, b, width: int = 8) -> list[int]:
     """Lanewise minimum."""
-    vector = use_vector()
-    x, y = _pair(a, b, width, vector)
-    return np.minimum(x, y).tolist() if vector else py_min(x, y)
+    return _lanewise(a, b, width, np.minimum, py_min)
 
 
 def absdiff(a, b, width: int = 8) -> list[int]:
@@ -188,9 +182,7 @@ def absdiff(a, b, width: int = 8) -> list[int]:
     The vector path ORs the two one-sided saturating differences, which is
     exact because at least one of them is zero in every lane.
     """
-    vector = use_vector()
-    x, y = _pair(a, b, width, vector)
-    return np_absdiff(x, y).tolist() if vector else py_absdiff(x, y)
+    return _lanewise(a, b, width, np_absdiff, py_absdiff)
 
 
 # Array-level forms of the same rewrites, shared with the matrix vector paths

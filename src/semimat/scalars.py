@@ -52,9 +52,6 @@ def sat_neg(a: int, width: int = 8) -> int:
     return sat_limit(width) - a
 
 
-delta = sat_neg
-
-
 def dist_mul(a: int, b: int, width: int = 8) -> int:
     """Plain-distance product: saturating addition min(a + b, S).
 

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,22 +195,85 @@ def test_header_only_edge_list_has_no_edges(text):
 def test_line_loop_reads_what_loadtxt_cannot():
     spec = parse_edge_list("p 12\n0 1\n1 2 4\n1_0 \u0663 2\n")
     assert spec == GraphSpec(12, [(0, 1, 1), (1, 2, 4), (10, 3, 2)], True)
-    huge = parse_edge_list(f"p 2\n0 1 {2**70}\n")
-    assert huge.edges == [(0, 1, 2**70)]
+    with pytest.raises(GraphParseError, match=f"line 2: value {2**70} does not fit int64"):
+        parse_edge_list(f"p 2\n0 1 {2**70}\n")
     with pytest.raises(ValueError, match=f"weight {2**70} outside"):
-        graphio.antidist_adjacency(huge, 32)
+        AntidistMatrix.from_edges(2, [(0, 1, 2**70)], 32)
+
+
+@pytest.mark.parametrize(
+    "text, edges, weighted",
+    [
+        ("p 3\n", [], False),
+        ("p 3\n# none\n\n  # still none\n", [], False),
+        ("p 3\n0 1\n1 2\n", [(0, 1, 1), (1, 2, 1)], False),
+        ("p 3\n0 1 3\n1 2 0\n", [(0, 1, 3), (1, 2, 0)], True),
+        ("p 3\n0 1\n1 2 4\n2 0\n", [(0, 1, 1), (1, 2, 4), (2, 0, 1)], True),
+        ("p 12\n1_0 2\n", [(10, 2, 1)], False),
+        ("p 4\n0 \u0663 2\n", [(0, 3, 2)], True),
+        ("p 3\r\n0 1 2\r\n1 2\r\n", [(0, 1, 2), (1, 2, 1)], True),
+        (f"p 2\n0 1 {2**63 - 1}\n", [(0, 1, 2**63 - 1)], True),
+    ],
+    ids=["header only", "comments only", "2 fields", "3 fields", "mixed", "1_0",
+         "non-ASCII digit", "CRLF", "int64 max"],
+)
+def test_every_body_gives_one_int64_table(text, edges, weighted):
+    spec = parse_edge_list(text)
+    assert isinstance(spec.edges, EdgeTable)
+    assert spec.edges.array.dtype == np.int64 and spec.edges.array.shape == (len(edges), 3)
+    assert spec.edges == edges and spec.weighted is weighted
+    assert spec == _parse_by_lines(text)
+    lines = text.splitlines()
+    table = graphio._parse_lines(lines, *graphio._header(lines))
+    assert table.dtype == np.int64 and table.shape == (len(edges), 3 if weighted else 2)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, value",
+    [
+        (f"p 2\n0 1 {2**63}\n", 2, 2**63),
+        (f"p 2\n0 1\n# x\n1 0 {2**70}\n", 4, 2**70),
+        (f"p 2\n0 1 {2**64 - 1}\n", 2, 2**64 - 1),
+        (f"p {2**70}\n0 1\n{2**64} 0\n", 3, 2**64),
+        (f"p {2**70}\n0 {2**63} 5\n", 2, 2**63),
+    ],
+)
+def test_fields_beyond_int64_are_refused_by_line(text, lineno, value):
+    with pytest.raises(GraphParseError, match=f"line {lineno}: value {value} does not fit int64") as err:
+        parse_edge_list(text)
+    assert err.value.lineno == lineno
+
+
+def test_edge_table_slices_like_its_list():
+    rows = [(0, 1, 3), (1, 2, 4), (3, 0, 0), (1, 2, 4), (2, 2, 1)]
+    edges = parse_edge_list("p 4\n" + "".join("%d %d %d\n" % row for row in rows)).edges
+    for key in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(4, 1), slice(None)):
+        part = edges[key]
+        assert isinstance(part, EdgeTable) and part.array.dtype == np.int64
+        assert part == rows[key] and list(part) == rows[key] and len(part) == len(rows[key])
+    assert edges[-1] == rows[-1] and edges[-5] == rows[0]
+    with pytest.raises(IndexError):
+        edges[5]
+    assert edges.index((1, 2, 4)) == rows.index((1, 2, 4)) == 1
+    with pytest.raises(ValueError):
+        edges.index((9, 9, 9))
+    assert edges.count((1, 2, 4)) == 2 and edges.count((0, 0, 0)) == 0
+    assert list(reversed(edges)) == rows[::-1]
 
 
 def _outcome(parse, text):
     try:
-        return parse(text)
+        spec = parse(text)
     except GraphParseError as exc:
         return str(exc), exc.lineno
+    return spec, type(spec.edges), spec.edges.array.dtype, spec.edges.array.shape
 
 
 def _parse_by_lines(text):
-    lines = text.splitlines()
-    return graphio._parse_lines(lines, *graphio._header(lines))
+    """parse_edge_list with the table reader switched off, so that the line
+    loop reads every body."""
+    with mock.patch.object(graphio, "_read_integers", lambda lines, comments=None: None):
+        return parse_edge_list(text)
 
 
 @st.composite

@@ -40,9 +40,9 @@ def test_sat_neg_and_delta_examples():
     assert scalars.sat_neg(0, 8) == 255
     assert scalars.sat_neg(250, 8) == 5
     assert scalars.sat_neg(65535, 16) == 0
-    assert scalars.delta(255, 8) == 0
-    assert scalars.delta(0, 8) == 255
-    assert scalars.delta(200, 8) == 55
+    assert scalars.sat_neg(255, 8) == 0
+    assert scalars.sat_neg(0, 8) == 255
+    assert scalars.sat_neg(200, 8) == 55
 
 
 def test_dist_mul_examples():
@@ -94,7 +94,7 @@ def test_neg_involution_and_duality(width, a):
     limit = scalars.sat_limit(width)
     a = a % (limit + 1)
     assert scalars.sat_neg(scalars.sat_neg(a, width), width) == a
-    assert scalars.delta(a, width) == scalars.sat_neg(a, width)
+    assert scalars.sat_neg(a, width) == a ^ limit
 
 
 def test_dist_mul_is_the_complement_dual():
