@@ -8,11 +8,12 @@ Every body becomes one (m, 3) int64 table. It is read by a single
 ``np.loadtxt`` call, with its ranges checked by whole-column reductions. The
 line loop runs only when that fails or finds a fault, to name the line, or
 for the rare body it cannot take: 2- and 3-field lines mixed, non-ASCII text
-outside comments (such as a non-ASCII digit) or ``1_0``. Both readers end in
-the same table, so a parsed graph has one edge type. A field beyond int64
-is refused, naming its line.
+outside comments (such as a non-ASCII digit), ``1_0`` or a run of 19
+digits. Both readers end in the same table, so a parsed graph has one edge
+type. A field beyond int64 is refused, naming its line.
 """
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -85,7 +86,10 @@ def parse_edge_list(text: str) -> GraphSpec:
     """
     lines = text.splitlines()
     count, first = _header(lines)
-    table = _read_integers(lines[first:], comments="#")
+    # numpy 1.x loadtxt reads a field beyond int64 through a float and an
+    # undefined cast, so a body with a run of 19 digits takes the line loop
+    long = max(map(len, lines)) >= 19 and re.search("[0-9]{19}", text)
+    table = None if long else _read_integers(lines[first:], comments="#")
     if table is None or table.shape[1] not in (2, 3) or table.min() < 0 or table[:, :2].max() >= count:
         table = _parse_lines(lines, count, first)
     weighted = table.shape[1] == 3

@@ -39,7 +39,9 @@ def test_counts_code_lines_only():
 
 
 def test_counts_each_module(capsys):
-    code_lines.main([str(TOOL)])
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].split() == [str(code_lines.code_lines(TOOL.read_text())), "code_lines.py"]
-    assert out[-1].split()[1] == "total"
+    code_lines.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = {name: int(count) for count, name in rows}
+    graphio = code_lines.SOURCES / "graphio.py"
+    assert counts["graphio.py"] == code_lines.code_lines(graphio.read_text(encoding="utf-8"))
+    assert rows[-1][1] == "total" and int(rows[-1][0]) == sum(int(count) for count, _ in rows[:-1])

@@ -2,17 +2,17 @@
 
 A code line holds at least one token that is not a comment and not part of
 a docstring (of the module, a class or a function); blank lines do not
-count. Run from the repository root:
+count. It prints each module's count and then the total:
 
-    python tools/code_lines.py            # every module and the total
-    python tools/code_lines.py PATH ...   # the named files only
+    python tools/code_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "semimat"
 
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
@@ -34,11 +34,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main(argv):
-    root = Path(__file__).resolve().parent.parent
-    paths = [Path(p) for p in argv] or sorted((root / "src" / "semimat").glob("*.py"))
+def main():
     total = 0
-    for path in paths:
+    for path in sorted(SOURCES.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
@@ -46,4 +44,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
