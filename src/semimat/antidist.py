@@ -46,7 +46,7 @@ with no nonzero column is skipped.
 
 A vector closure that fits in one tile runs the in-order sweep on all rows.
 A larger one is planned from the matrix's support (its nonzero entries as
-packed bits): two depth-first searches find its strongly connected
+packed bits): one depth-first search finds its strongly connected
 components, sinks first. With one component the blocked sweep runs on the
 matrix as it is. Otherwise the vertices are relabelled component after
 component, sinks first. Then a row hits step k only if it has an edge into
@@ -59,7 +59,6 @@ import numpy as np
 
 from . import kernels
 from .boolmat import (
-    BLOCK_BITS,
     BoolMatrix,
     _block_count,
     _edge_table,
@@ -80,6 +79,7 @@ class _LaneMatrix(_Matrix):
     def __init__(self, rows: int, cols: int, width: int = 8, _data=None):
         super().__init__(rows, cols)
         dtype = kernels.dtype_for(width)
+        self._check_storage(self.cols * np.dtype(dtype).itemsize, f"a {self.rows}x{self.cols} matrix of width {width}")
         self.width = width
         if _data is None:
             fill = self.limit if self._EMPTY_IS_LIMIT else 0
@@ -400,13 +400,11 @@ class DistMatrix(_LaneMatrix):
 # support's structure bounds the saturated closure's. The plan has three
 # parts:
 #
-# - Components (_components): Kosaraju's two depth-first searches (Sharir
-#   1981), one along the transposed support (_transpose_bits: three masked
-#   swaps per 8x8 bit block) and one along the support, in one search
-#   function over packed rows (_search). The second search's trees are the
-#   strongly connected components, sinks first (Purdom 1970). With one
-#   component every window would be full, and the blocked sweep above runs
-#   on the matrix as it is.
+# - Components (_components): one path-based depth-first search along the
+#   packed rows of the support (Purdom 1970, Gabow 2000) closes the strongly
+#   connected components one by one, sinks first, with no transposed copy.
+#   With one component every window would be full, and the blocked sweep
+#   above runs on the matrix as it is.
 # - Order: otherwise the components follow each other sinks first, each
 #   component's vertices in their input order. At step k a row hits column
 #   k when a path from it reaches k through earlier pivots only, and those
@@ -649,80 +647,47 @@ def _components(support):
     the packed rows ``support``, sinks first: each vertex's component index,
     numbered so that no edge runs from a component to a later one.
 
-    Kosaraju's two passes (Sharir 1981): a depth-first search of the
-    transpose, then one of the matrix with roots in reverse order of the
-    first search's finish times. Each tree of the second search is one
-    component, and the trees come in reverse topological order (Purdom 1970).
+    One path-based depth-first search (Purdom 1970, Gabow 2000). The open
+    vertices, reached but not yet in a component, sit on a stack in the
+    order they were reached, and a stack of boundaries marks where each
+    candidate component starts on it, each with the set of the open vertices
+    below it. A vertex, once reached, pushes its own boundary and then pops
+    the top boundary while it has an edge to an open vertex below it: the
+    candidates it closes a cycle through are one component. (Testing before
+    its own boundary is pushed would leave the vertex out of that cycle.) A
+    vertex whose search ends with its own boundary on top closes the
+    component from there up, so components close sinks first. Sets of
+    vertices are the bits of Python ints, so a vertex's next unvisited
+    successor is the lowest bit of its row ANDed with them.
     """
     n = support.shape[0]
-    finished = [v for tree in _search(_transpose_bits(support), range(n)) for v in tree]
+    bits = memoryview(support.astype("<u8", copy=False)).cast("B")
+    size = support.shape[1] * 8
     component = np.empty(n, np.intp)
-    for index, tree in enumerate(_search(support, reversed(finished))):
-        component[tree] = index
+    unvisited, opened, index = (1 << n) - 1, 0, 0
+    path = []  # the vertices whose search runs, each with its row
+    stack, bounds = [], []  # open vertices; boundaries, each its start on stack and the open set below it
+    while path or unvisited:
+        free = path[-1][1] & unvisited if path else unvisited  # with no search running, the next root
+        if free:  # reach the lowest vertex of free
+            low = free & -free
+            v = low.bit_length() - 1
+            unvisited ^= low
+            row = int.from_bytes(bits[v * size : (v + 1) * size], "little")
+            bounds.append((len(stack), opened))
+            while row & bounds[-1][1]:  # an edge back under the top boundary
+                bounds.pop()
+            stack.append(v)
+            opened |= low
+            path.append((v, row))
+        else:  # the search from path[-1] ends
+            v = path.pop()[0]
+            if stack[bounds[-1][0]] == v:
+                start, opened = bounds.pop()
+                component[stack[start:]] = index
+                index += 1
+                del stack[start:]
     return component
-
-
-def _search(blocks, roots):
-    """Depth-first search along the packed rows ``blocks`` of a square Boolean
-    matrix from each of ``roots`` not yet reached, in turn. Returns the search
-    trees, each as the list of its vertices in the order they finish.
-
-    The unvisited vertices are the bits of one Python int, so a vertex's next
-    unvisited successor is the lowest bit of its row ANDed with them."""
-    n = blocks.shape[0]
-    bits = memoryview(blocks.astype("<u8", copy=False)).cast("B")
-    size = blocks.shape[1] * 8
-    unvisited = (1 << n) - 1
-    trees = []
-    for root in roots:
-        if not unvisited >> root & 1:
-            continue
-        unvisited ^= 1 << root
-        stack, post = [root], []
-        while stack:
-            v = stack[-1]
-            free = int.from_bytes(bits[v * size : (v + 1) * size], "little") & unvisited
-            if free:
-                low = free & -free
-                unvisited ^= low
-                stack.append(low.bit_length() - 1)
-            else:
-                post.append(stack.pop())
-        trees.append(post)
-    return trees
-
-
-_TRANSPOSE_8X8 = tuple(  # (shift, mask) of the three swaps that transpose an 8x8 bit block
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-)
-
-
-def _transpose_bits(blocks):
-    """The packed rows of the transpose of the square Boolean matrix held in
-    the packed rows ``blocks``, made one word column at a time.
-
-    The 64 rows of word column w hold 8 x words blocks of 8x8 bits. Each
-    block is one 64-bit word (byte r holds row r), transposed in place by
-    three masked swaps; block (I, J) then becomes byte I of word w in rows
-    8J to 8J + 7 of the transpose.
-    """
-    n, words = blocks.shape
-    side = 8 * words  # bytes per row
-    raw = blocks.astype("<u8", copy=False).view(np.uint8)
-    band = np.zeros((BLOCK_BITS, side), np.uint8)
-    out = np.empty_like(blocks)
-    for w in range(words):
-        rows = raw[BLOCK_BITS * w : BLOCK_BITS * (w + 1)]
-        band[: len(rows)] = rows
-        band[len(rows) :] = 0
-        cells = np.ascontiguousarray(band.reshape(8, 8, side).transpose(0, 2, 1)).view("<u8")
-        for shift, mask in _TRANSPOSE_8X8:
-            swap = (cells ^ (cells >> shift)) & mask
-            cells ^= swap ^ (swap << shift)
-        word = np.ascontiguousarray(cells.reshape(8, side).T).view(np.uint8).reshape(side, 8, 8)
-        out[:, w] = np.ascontiguousarray(word.transpose(0, 2, 1)).view("<u8").reshape(-1)[:n]
-    return out
 
 
 def _permute(data, order):

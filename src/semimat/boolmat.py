@@ -81,6 +81,12 @@ class _Matrix:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix dimensions must be positive integers, got {rows!r}x{cols!r}")
 
+    def _check_storage(self, row_bytes: int, what: str) -> None:
+        """Refuse a matrix whose storage, ``row_bytes`` a row, numpy cannot
+        address: ``what`` names its shape."""
+        if self.rows * row_bytes > np.iinfo(np.intp).max:
+            raise ValueError(f"{what} needs {self.rows * row_bytes} bytes, more than numpy can address")
+
     @staticmethod
     def _row_length(rows) -> int:
         """Common length of the rows of a 2-D array-like; refuses ragged rows."""
@@ -133,6 +139,7 @@ class BoolMatrix(_Matrix):
 
     def __init__(self, rows: int, cols: int, _blocks=None):
         super().__init__(rows, cols)
+        self._check_storage(8 * _block_count(self.cols), f"a {self.rows}x{self.cols} Boolean matrix")
         if _blocks is None:
             _blocks = np.zeros((self.rows, _block_count(self.cols)), dtype=np.uint64)
         elif _blocks.shape != (self.rows, _block_count(self.cols)) or _blocks.dtype != np.uint64:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import graphio, kernels, matio
 from .antidist import AntidistMatrix
-from .scalars import sat_limit
+from .scalars import SAT_WIDTHS, sat_limit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file: 'p N' header, then 'u v [w]' lines")
     p.add_argument("--bool", dest="as_bool", action="store_true",
                    help="Boolean reachability instead of shortest paths")
-    p.add_argument("--width", type=int, choices=(8, 16, 32), default=None,
+    p.add_argument("--width", type=int, choices=SAT_WIDTHS, default=None,
                    help="lane width for shortest paths (default 8)")
     p.add_argument("--reflexive", action="store_true",
                    help="include the identity (only with --bool)")
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the scalar and vector paths on random inputs")
     p.add_argument("--op", choices=("mul", "closure"), default="mul")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--width", type=int, choices=(8, 16, 32), default=8)
+    p.add_argument("--width", type=int, choices=SAT_WIDTHS, default=8)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .antidist import AntidistMatrix, DistMatrix
 from .boolmat import BoolMatrix, _block_count, _unpack_bits
+from .scalars import SAT_WIDTHS
 
 MAGIC = b"SRMAT1"
 _HEADER = struct.Struct("<6sBBII")
@@ -27,7 +29,7 @@ _TYPE_BOOL = ord("B")
 _TYPE_ANTIDIST = ord("A")
 _TYPE_DIST = ord("D")
 
-_LANE_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
+_LANE_DTYPES = {width: np.dtype(kernels.dtype_for(width)).newbyteorder("<") for width in SAT_WIDTHS}
 
 
 class MatrixFormatError(ValueError):

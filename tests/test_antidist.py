@@ -162,6 +162,25 @@ def test_matrix_dimensions_must_be_positive_integers(cls, dim):
     assert cls.identity(np.int32(2)) == cls.identity(2)
 
 
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: AntidistMatrix(10**20, 2), "a 100000000000000000000x2 matrix of width 8"),
+        (lambda: AntidistMatrix(2**62, 4, 32), "a 4611686018427387904x4 matrix of width 32"),
+        (lambda: DistMatrix.unreachable(3, 2**62, 16), "a 3x4611686018427387904 matrix of width 16"),
+        (lambda: AntidistMatrix.identity(2**32, 8), "a 4294967296x4294967296 matrix of width 8"),
+        (lambda: BoolMatrix(10**20, 2), "a 100000000000000000000x2 Boolean matrix"),
+        (lambda: BoolMatrix.identity(2**33), "a 8589934592x8589934592 Boolean matrix"),
+    ],
+    ids=range(6),
+)
+def test_storage_numpy_cannot_address_is_refused(build, what):
+    """A shape whose bytes exceed numpy's address range is refused before
+    any allocation, with its rows, columns and lane width named."""
+    with pytest.raises(ValueError, match=re.escape(what) + r" needs \d+ bytes, more than numpy can address"):
+        build()
+
+
 def test_from_lists_names_the_first_bad_entry():
     # A Python int wider than any numpy integer still gets the range message.
     with pytest.raises(ValueError, match=r"entry 1180591620717411303424 outside \[0, 255\]"):
@@ -1107,22 +1126,51 @@ def test_chain_spans(width, monkeypatch):
         assert m.transitive_closure() == want
 
 
-@pytest.mark.parametrize("shape", SHAPES + ("loops and isolated vertices",))
+def component_pairs(rng, shape, dim):
+    """The edges of a ``shape`` graph on ``dim`` vertices as (u, v) pairs.
+
+    Besides the plan's shapes: self-loops with isolated vertices; uniform
+    random graphs of a given edge chance; and two shapes whose labels are
+    not shuffled, because the search takes roots and successors in label
+    order. "nested cycles" is a path through every vertex that the search
+    runs down, with chords back that make nested and overlapping candidates,
+    cut into two cycles each closed by one back edge from its deepest
+    vertex. "closed components" is cycles of five, each with edges into the
+    earlier ones, which a later root reaches after they are closed.
+    """
+    if shape in SHAPES:
+        return {(u, v) for u, v, _ in shaped_graph(rng, shape, dim)}
+    if shape == "loops and isolated vertices":
+        isolated = set(rng.sample(range(dim), 8))
+        pairs = {(v, v) for v in rng.sample(range(dim), 12)}  # some on isolated vertices
+        return pairs | {
+            (u, v) for u in range(dim) for v in range(dim)
+            if u != v and not {u, v} & isolated and rng.random() < 0.03
+        }
+    if shape.startswith("random"):
+        chance = float(shape.split()[1])
+        return {(u, v) for u in range(dim) for v in range(dim) if rng.random() < chance}
+    if shape == "nested cycles":
+        cut = dim // 2
+        chords = {(5, 3), (9, 2), (20, 12), (25, 11), (30, 15), (cut + 10, cut + 5), (dim - 9, cut + 2)}
+        return {(v, v + 1) for v in range(dim - 1)} | {(cut - 1, 0), (dim - 1, cut)} | chords
+    cycles = [range(lo, min(lo + 5, dim)) for lo in range(0, dim, 5)]  # "closed components"
+    pairs = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
+    return pairs | {(u, rng.randrange(c.start)) for c in cycles[1:] for u in c for _ in range(2)}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    SHAPES + ("loops and isolated vertices", "nested cycles", "closed components",
+              "random 0.02", "random 0.04", "random 0.15"),
+)
 def test_components_sinks_first(shape):
     """The components partition the vertices exactly as mutual reachability
     in the Boolean closure by squaring does, and they come sinks first: no
     edge runs from a component to a later one."""
     rng = random.Random(f"components-{shape}")
     dim = 70  # two words a packed row
-    if shape in SHAPES:
-        pairs = {(u, v) for u, v, _ in shaped_graph(rng, shape, dim)}
-    else:
-        isolated = set(rng.sample(range(dim), 8))
-        pairs = {(v, v) for v in rng.sample(range(dim), 12)}  # some on isolated vertices
-        pairs |= {
-            (u, v) for u in range(dim) for v in range(dim)
-            if u != v and not {u, v} & isolated and rng.random() < 0.03
-        }
+    pairs = component_pairs(rng, shape, dim)
     adjacency = [[int((u, v) in pairs) for v in range(dim)] for u in range(dim)]
     reach = oracle.closure_by_squaring(adjacency)
     component = antidist._components(BoolMatrix.from_lists(adjacency).blocks).tolist()
@@ -1133,14 +1181,19 @@ def test_components_sinks_first(shape):
     assert all(component[u] >= component[v] for u, v in pairs)
 
 
-@pytest.mark.parametrize("dim", (1, 7, 63, 64, 65, 130, 200))
-def test_transpose_bits(dim):
-    """The packed transpose equals the unpacked bits transposed and packed
-    again, with zero padding bits in a partial last word."""
-    rng = np.random.default_rng(dim)
-    blocks = BoolMatrix.from_lists((rng.random((dim, dim)) < 0.3).astype(int)).blocks
-    bits = np.unpackbits(blocks.astype("<u8").view(np.uint8), axis=1, count=dim, bitorder="little")
-    assert np.array_equal(antidist._transpose_bits(blocks), BoolMatrix.from_lists(bits.T).blocks)
+def test_components_of_a_long_path():
+    """A path through 5,000 relabelled vertices that starts at vertex 0 is
+    one search 5,000 vertices deep, far past Python's recursion limit. Each
+    vertex is a component of its own, and sinks first the path closes in
+    reverse order."""
+    rng = random.Random("long path")
+    dim = 5000
+    label = np.array([0] + rng.sample(range(1, dim), dim - 1))
+    support = np.zeros((dim, -(-dim // 64)), np.uint64)
+    u, v = label[:-1], label[1:]
+    np.bitwise_or.at(support, (u, v // 64), np.uint64(1) << (v % 64).astype(np.uint64))
+    component = antidist._components(support)
+    assert component[label].tolist() == list(range(dim - 1, -1, -1))
 
 
 def nonzero_span(rows):

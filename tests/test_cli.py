@@ -346,6 +346,17 @@ def test_closure_too_large_to_allocate_is_an_error(tmp_path, capsys, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, what", [([], "matrix of width 8"), (["--bool"], "Boolean matrix")])
+def test_closure_of_a_count_numpy_cannot_address_is_an_error(tmp_path, capsys, flags, what):
+    g = tmp_path / "g.txt"
+    g.write_text("p 99999999999999999999\n0 1\n")
+    code, out, err = run(capsys, "closure", str(g), *flags)
+    assert code == 1
+    assert out == ""
+    shape = "99999999999999999999x99999999999999999999"
+    assert re.fullmatch(f"semimat: error: a {shape} {what} needs \\d+ bytes, more than numpy can address\n", err)
+
+
 def test_closure_out_of_memory_in_the_sweep_is_an_error(tmp_path, capsys, monkeypatch):
     def no_room(*args):
         raise MemoryError("no room for the tile")
