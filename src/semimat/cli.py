@@ -86,7 +86,7 @@ def cmd_closure(args) -> int:
     if args.reflexive and not args.as_bool:
         raise ValueError("--reflexive is only valid with --bool")
     with _stage("parse", args.timings):
-        spec = graphio.parse_edge_list(Path(args.graph).read_text())
+        spec = graphio.parse_edge_list(_read_graph(args.graph))
     with _stage("adjacency", args.timings):
         adjacency = _adjacency(spec, args)
     # Both keep the peak RSS down: the parsed edge list is freed before the
@@ -101,6 +101,15 @@ def cmd_closure(args) -> int:
     with _stage("serialize", args.timings):
         _emit(result, args.output, args.binary)
     return 0
+
+
+def _read_graph(path) -> str:
+    """The text of an edge-list file; a file that is not UTF-8 is a
+    GraphParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise graphio.GraphParseError(f"{path}: not utf-8 text ({exc.reason} at offset {exc.start})") from exc
 
 
 @contextmanager

@@ -20,35 +20,50 @@ import numpy as np
 from . import kernels
 from .antidist import AntidistMatrix, DistMatrix
 from .boolmat import BoolMatrix, _block_count, _unpack_bits
-from .scalars import SAT_WIDTHS
 
 MAGIC = b"SRMAT1"
 _HEADER = struct.Struct("<6sBBII")
 
-_TYPE_BOOL = ord("B")
-_TYPE_ANTIDIST = ord("A")
-_TYPE_DIST = ord("D")
-
-_LANE_DTYPES = {width: np.dtype(kernels.dtype_for(width)).newbyteorder("<") for width in SAT_WIDTHS}
+# Each matrix class with its text name and its binary type byte. Widths and
+# dimensions are the classes' own rules: a value they refuse is reported as
+# a MatrixFormatError.
+_KINDS = {BoolMatrix: ("bool", ord("B")), AntidistMatrix: ("antidist", ord("A")), DistMatrix: ("dist", ord("D"))}
+_BY_NAME = {name: cls for cls, (name, _) in _KINDS.items()}
+_BY_TAG = {tag: cls for cls, (_, tag) in _KINDS.items()}
 
 
 class MatrixFormatError(ValueError):
     """Unreadable or inconsistent matrix file content."""
 
 
+def _kind(m):
+    """The text name and the type byte of matrix ``m``."""
+    for cls, kind in _KINDS.items():
+        if isinstance(m, cls):
+            return kind
+    raise TypeError(f"cannot serialize {type(m).__name__}")
+
+
+def _build(make, *args):
+    """``make(*args)``, with a ValueError it raises reported as a
+    MatrixFormatError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc)) from None
+
+
 # -- text -------------------------------------------------------------------
 
 def format_text(m) -> str:
+    name = _kind(m)[0]
     if isinstance(m, BoolMatrix):
-        head = f"bool {m.rows} {m.cols}"
+        head = f"{name} {m.rows} {m.cols}"
         chars = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
         np.add(_unpack_bits(m.blocks, m.cols), ord("0"), out=chars[:, :-1])
-    elif isinstance(m, (AntidistMatrix, DistMatrix)):
-        kind = "antidist" if isinstance(m, AntidistMatrix) else "dist"
-        head = f"{kind} {m.width} {m.rows} {m.cols}"
-        chars = _decimal_rows(m.data)
     else:
-        raise TypeError(f"cannot serialize {type(m).__name__}")
+        head = f"{name} {m.width} {m.rows} {m.cols}"
+        chars = _decimal_rows(m.data)
     return f"{head}\n" + str(chars, "ascii")
 
 
@@ -166,32 +181,28 @@ def parse_text(text: str):
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise MatrixFormatError("empty input, expected a matrix header line")
-    head = lines[0].split()
-    kind = head[0]
-    if kind == "bool":
-        if len(head) != 3:
+    kind, *fields = lines[0].split()
+    cls = _BY_NAME.get(kind)
+    if cls is None:
+        raise MatrixFormatError(f"unknown matrix type {kind!r}")
+    if cls is BoolMatrix:
+        if len(fields) != 2:
             raise MatrixFormatError("bool header must be 'bool R C'")
-        rows, cols = _parse_header_ints(head[1:])
+        rows, cols = _parse_header_ints(fields)
         body = [line.strip() for line in _data_lines(lines, rows, cols)]
         for lineno, row in enumerate(body, start=2):
             if len(row) != cols or row.strip("01"):
                 raise MatrixFormatError(f"line {lineno}: expected {cols} characters of 0/1")
         chars = np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols)
         return BoolMatrix.from_lists(chars == ord("1"))
-    if kind in ("antidist", "dist"):
-        if len(head) != 4:
-            raise MatrixFormatError(f"{kind} header must be '{kind} W R C'")
-        width, rows, cols = _parse_header_ints(head[1:])
-        cls = AntidistMatrix if kind == "antidist" else DistMatrix
-        body = _data_lines(lines, rows, cols)
-        entries = _read_integers(body)
-        if entries is None or entries.shape != (rows, cols):  # loadtxt skips blank lines
-            raise _bad_line(body, cols)
-        try:
-            return cls.from_lists(entries, width)
-        except ValueError as exc:
-            raise MatrixFormatError(str(exc)) from None
-    raise MatrixFormatError(f"unknown matrix type {kind!r}")
+    if len(fields) != 3:
+        raise MatrixFormatError(f"{kind} header must be '{kind} W R C'")
+    width, rows, cols = _parse_header_ints(fields)
+    body = _data_lines(lines, rows, cols)
+    entries = _read_integers(body)
+    if entries is None or entries.shape != (rows, cols):  # loadtxt skips blank lines
+        raise _bad_line(body, cols)
+    return _build(cls.from_lists, entries, width)
 
 
 # -- binary -----------------------------------------------------------------
@@ -200,15 +211,13 @@ def to_binary(m, file=None):
     """The binary form of ``m`` as bytes or, given a path or a binary file,
     written to it: the header, then the payload straight from the matrix's
     own buffer. A path is opened only once ``m`` is known to be a matrix."""
+    tag = _kind(m)[1]
     if isinstance(m, BoolMatrix):
-        header = _HEADER.pack(MAGIC, _TYPE_BOOL, 0, m.rows, m.cols)
+        header = _HEADER.pack(MAGIC, tag, 0, m.rows, m.cols)
         payload = m.blocks.astype("<u8", copy=False)
-    elif isinstance(m, (AntidistMatrix, DistMatrix)):
-        tag = _TYPE_ANTIDIST if isinstance(m, AntidistMatrix) else _TYPE_DIST
-        header = _HEADER.pack(MAGIC, tag, m.width, m.rows, m.cols)
-        payload = m.data.astype(_LANE_DTYPES[m.width], copy=False)
     else:
-        raise TypeError(f"cannot serialize {type(m).__name__}")
+        header = _HEADER.pack(MAGIC, tag, m.width, m.rows, m.cols)
+        payload = m.data.astype(m.data.dtype.newbyteorder("<"), copy=False)
     if file is None:
         return b"".join((header, payload))
     if isinstance(file, (str, os.PathLike)):
@@ -219,40 +228,32 @@ def to_binary(m, file=None):
 
 
 def from_binary(data: bytes):
+    """The matrix of a binary form. Its payload is read in place, and the
+    matrix type refuses a width or a dimension it does not take."""
     if len(data) < _HEADER.size:
         raise MatrixFormatError(f"truncated header: {len(data)} bytes")
     magic, tag, width, rows, cols = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise MatrixFormatError(f"bad magic {magic!r}")
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    payload = data[_HEADER.size :]
-    if tag == _TYPE_BOOL:
+    cls = _BY_TAG.get(tag)
+    if cls is None:
+        raise MatrixFormatError(f"unknown type byte {tag:#x}")
+    if cls is BoolMatrix:
         if width != 0:
             raise MatrixFormatError(f"bool matrices carry width byte 0, got {width}")
-        blocks_per_row = _block_count(cols)
-        expected = rows * blocks_per_row * 8
-        if len(payload) != expected:
-            raise MatrixFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-        blocks = (
-            np.frombuffer(payload, dtype="<u8")
-            .astype(np.uint64)
-            .reshape(rows, blocks_per_row)
-        )
-        tail = cols & 63
-        if tail and int(blocks[:, -1].max(initial=0)) >> tail:
-            raise MatrixFormatError("nonzero padding bits in final block")
-        return BoolMatrix(rows, cols, blocks)
-    if tag in (_TYPE_ANTIDIST, _TYPE_DIST):
-        if width not in _LANE_DTYPES:
-            raise MatrixFormatError(f"unsupported width byte {width}")
-        expected = rows * cols * (width // 8)
-        if len(payload) != expected:
-            raise MatrixFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-        cls = AntidistMatrix if tag == _TYPE_ANTIDIST else DistMatrix
-        entries = np.frombuffer(payload, dtype=_LANE_DTYPES[width]).reshape(rows, cols)
-        return cls.from_lists(entries, width)
-    raise MatrixFormatError(f"unknown type byte {tag:#x}")
+        dtype, row_length = np.dtype("<u8"), _block_count(cols)
+    else:
+        dtype, row_length = np.dtype(_build(kernels.dtype_for, width)).newbyteorder("<"), cols
+    expected = rows * row_length * dtype.itemsize
+    if len(data) - _HEADER.size != expected:
+        raise MatrixFormatError(f"payload is {len(data) - _HEADER.size} bytes, expected {expected}")
+    entries = np.frombuffer(data, dtype, offset=_HEADER.size).reshape(rows, row_length)
+    if cls is not BoolMatrix:
+        return _build(cls.from_lists, entries, width)
+    tail = cols & 63
+    if tail and int(entries[:, -1].max(initial=0)) >> tail:
+        raise MatrixFormatError("nonzero padding bits in final block")
+    return _build(BoolMatrix, rows, cols, entries.astype(np.uint64))
 
 
 # -- files ------------------------------------------------------------------

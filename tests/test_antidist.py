@@ -1280,12 +1280,12 @@ def test_pivot_steps_touch_their_live_span(shape, width, cls, monkeypatch):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_spanned_pivot_phase_reads_spans_live_and_skips_rows_of_zeros(width, monkeypatch):
+def test_pivot_phase_reads_rows_widened_in_the_block_window_and_skips_zero_blocks(width, monkeypatch):
     """In blocks of 3, step 0 widens pivot row 1, which at first holds only
     column 0, to the far columns of row 0, inside the block's window 0:10;
-    step 1 then reads the wider row for pivot row 2. The next block's pivot rows are all zero
-    although their columns hit, so the sweep skips it. The sweep equals the
-    scalar one."""
+    step 1 then reads the wider row for pivot row 2. The next block's pivot
+    rows are all zero although their columns hit, so the sweep skips it. The
+    sweep equals the scalar one."""
     limit = sat_limit(width)
     rng = np.random.default_rng(width)
     dim = 12
@@ -1342,13 +1342,15 @@ def chained_clusters(rng, dim, size, chain):
     return edges
 
 
-def test_planned_closure_allocates_less_than_the_matrix():
-    """The order, the permutations and the spanned sweep of an n=512 w16
-    closure with many components stay below one copy of the matrix."""
+def test_one_tile_closure_allocates_less_than_the_matrix(monkeypatch):
+    """An n=512 w16 closure with many components fills exactly one tile, so
+    it runs no plan; its in-order sweep stays below one copy of the
+    matrix."""
     rng = random.Random("plan-memory")
     dim = 512
     edges = chained_clusters(rng, dim, 32, 8)  # two chains of eight clusters
     m = DistMatrix.from_edges(dim, edges, 16)
+    calls = count_calls(monkeypatch, "_components")
     want = (~m).data.copy()
     antidist._maxplus_sweep(want, want, want, m.limit)
     tracemalloc.start()
@@ -1360,6 +1362,7 @@ def test_planned_closure_allocates_less_than_the_matrix():
         tracemalloc.stop()
     assert peak < m.data.nbytes
     assert np.array_equal(m.limit - m.data, want)
+    assert calls == {"_components": []}
 
 
 def test_planned_blocks_allocate_less_than_the_matrix():

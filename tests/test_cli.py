@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import semimat
-from semimat import antidist, cli, matio
+from semimat import antidist, cli, graphio, matio
 from semimat.antidist import AntidistMatrix
 from semimat.boolmat import BoolMatrix
 
@@ -323,6 +323,17 @@ def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "closure", "/nonexistent/graph.txt", "--bool")
     assert code == 1
     assert "error" in err
+
+
+def test_graph_file_that_is_not_utf8_is_a_graph_parse_error(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_bytes(b"p 2\n0 1\xff\n")
+    code, out, err = run(capsys, "closure", str(src), "--bool")
+    assert code == 1
+    assert out == ""
+    assert err == f"semimat: error: {src}: not utf-8 text (invalid start byte at offset 7)\n"
+    with pytest.raises(graphio.GraphParseError, match="not utf-8 text"):
+        cli._read_graph(src)
 
 
 @pytest.mark.parametrize("text", ["bool 0 3\n", "bool 1 2\n01\n11\n"])

@@ -198,6 +198,26 @@ def test_to_binary_golden():
     assert matio.from_binary(matio.to_binary(d)) == d
 
 
+@pytest.mark.parametrize(
+    "m, text, binary",
+    [
+        (BoolMatrix.from_lists([[1, 0, 1]]), "bool 1 3\n101\n",
+         b"SRMAT1B\x00\x01\x00\x00\x00\x03\x00\x00\x00" b"\x05\x00\x00\x00\x00\x00\x00\x00"),
+        (AntidistMatrix.from_lists([[1, 255]], 8), "antidist 8 1 2\n1 255\n",
+         b"SRMAT1A\x08\x01\x00\x00\x00\x02\x00\x00\x00" b"\x01\xff"),
+        (DistMatrix.from_lists([[0x01020304]], 32), "dist 32 1 1\n16909060\n",
+         b"SRMAT1D\x20\x01\x00\x00\x00\x01\x00\x00\x00" b"\x04\x03\x02\x01"),
+    ],
+    ids=("bool", "antidist w8", "dist w32"),
+)
+def test_golden_per_kind(m, text, binary):
+    """Each kind's name and type byte, and lane payloads little-endian."""
+    assert matio.format_text(m) == text
+    assert matio.to_binary(m) == binary
+    assert matio.parse_text(text) == m
+    assert matio.from_binary(binary) == m
+
+
 def test_parse_text_accepts_signs_and_whitespace():
     m = matio.parse_text("antidist 8 2 3\n  +1\t2   3 \n0 -0 255\n")
     assert m == AntidistMatrix.from_lists([[1, 2, 3], [0, 0, 255]], 8)
@@ -232,6 +252,15 @@ def test_binary_errors():
     corrupt[16 + 8 + 1] |= 0x80  # bit 15 of block 1, column 79 >= 65
     with pytest.raises(MatrixFormatError, match="padding"):
         matio.from_binary(bytes(corrupt))
+    # the matrix types' own rules, reported as MatrixFormatError
+    with pytest.raises(MatrixFormatError, match="dimensions must be positive"):
+        matio.from_binary(blob[:8] + (0).to_bytes(4, "little") + blob[12:16])
+    lanes = matio.to_binary(AntidistMatrix.from_lists([[1, 2]], 8))
+    for width in (7, 64):
+        with pytest.raises(MatrixFormatError, match=f"unsupported width {width}"):
+            matio.from_binary(lanes[:7] + bytes([width]) + lanes[8:])
+    with pytest.raises(MatrixFormatError, match="width byte 0, got 8"):
+        matio.from_binary(blob[:7] + bytes([8]) + blob[8:])
 
 
 def test_file_roundtrip_with_sniffing(tmp_path):
