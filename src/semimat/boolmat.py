@@ -5,6 +5,7 @@ at bit position j % 64 (least significant bit first). Bits past the column
 count are padding and stay zero after every operation.
 """
 
+import reprlib
 from operator import index
 
 import numpy as np
@@ -89,15 +90,18 @@ class _Matrix:
 
     @staticmethod
     def _row_length(rows) -> int:
-        """Common length of the rows of a 2-D array-like; refuses ragged rows."""
-        if len(rows) == 0 or len(rows[0]) == 0:
-            raise ValueError("matrix dimensions must be positive")
-        ncols = len(rows[0])
-        if isinstance(rows, np.ndarray) and rows.ndim == 2:  # rows of one length
-            return ncols
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+        """Common length of the rows of a 2-D array-like; refuses ragged rows,
+        and a scalar or a sequence with an entry that is not a row."""
+        try:
+            ncols = len(rows[0]) if len(rows) else 0
+            if ncols == 0:
+                raise ValueError("matrix dimensions must be positive")
+            if not (isinstance(rows, np.ndarray) and rows.ndim == 2):  # else rows of one length
+                for i, row in enumerate(rows):
+                    if len(row) != ncols:
+                        raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+        except TypeError:
+            raise ValueError(f"expected a 2-D array-like of rows, got {reprlib.repr(rows)}") from None
         return ncols
 
     def _check_index(self, i, j):
@@ -273,10 +277,11 @@ class BoolMatrix(_Matrix):
 
         The product's sweep run in place over a copy, passed as output and
         both factors (Warshall's algorithm, eight pivots per table lookup):
-        each group of eight pivot rows is first closed under the group's own
-        steps, then the unions of those rows are OR-ed into every row by its
-        bits in the group's columns, and the updated matrix feeds later
-        groups. The result equals Warshall's one-pivot-at-a-time sweep.
+        the table of the unions of a group's eight pivot rows is built as in
+        a product, and each row, pivot rows included, ORs in the union of the
+        pivots that its bits in the group's columns reach inside the group.
+        The updated matrix feeds later groups. The result equals Warshall's
+        one-pivot-at-a-time sweep.
         """
         self._check_square()
         t = self._blocks.copy()
@@ -298,10 +303,13 @@ class BoolMatrix(_Matrix):
 # group's rows of ``right`` form a table, and each output row ORs in the one
 # entry that its byte of ``left`` in the group's columns selects: eight outer
 # products per lookup. A closure passes the matrix as all three arrays and
-# first runs Warshall's steps of the group on the pivot rows alone; each
-# closed pivot row then holds what the group's later steps would add to it,
-# so the result equals Warshall's bit for bit. A product never writes
-# ``right``.
+# selects through the group's closed map: byte S picks table[reach[S]], the
+# union of the rows of every pivot that S reaches inside the group. reach[S]
+# starts as S joined with the group bits of table[S] (the pivots one step
+# from S) and is squared until it covers paths of _GROUP steps. Every row,
+# pivot rows included, then takes the same update as in a product, and the
+# result equals Warshall's one-pivot-at-a-time sweep bit for bit. A product
+# never writes ``right``.
 #
 # As in the lane sweep, a group whose byte is nonzero in at least half the
 # rows updates every row in place (a zero byte selects the empty union);
@@ -316,19 +324,16 @@ def _table_sweep(out, left, right):
     table = np.zeros((1 << _GROUP, right.shape[1]), dtype=np.uint64)
     for k0 in range(0, right.shape[0], _GROUP):
         shift = np.uint64(k0 & 63)
-        pivots = right[k0 : k0 + _GROUP]
-        if out is right:
-            # Warshall's steps on the pivot rows, their group bits read as ints.
-            sub = ((pivots[:, k0 >> 6] >> shift) & group_bits).tolist()
-            for b in range(len(sub)):
-                hit = [p for p, bits in enumerate(sub) if bits >> b & 1]
-                if hit:
-                    pivots[hit] |= pivots[b]
-                    for p in hit:
-                        sub[p] |= sub[b]
-        for b, row in enumerate(pivots):
+        for b, row in enumerate(right[k0 : k0 + _GROUP]):
             np.bitwise_or(table[: 1 << b], row, out=table[1 << b : 2 << b])
         byte = (left[:, k0 >> 6] >> shift) & group_bits
+        if out is right and ((right[k0 : k0 + _GROUP, k0 >> 6] >> shift) & group_bits).any():
+            # the closed map (the identity if no pivot row has a group bit);
+            # three squarings cover paths of 2**3 = _GROUP steps
+            reach = np.arange(1 << _GROUP) | ((table[:, k0 >> 6] >> shift) & group_bits).astype(np.intp)
+            for _ in range(3):
+                reach = reach[reach]
+            byte = reach[byte]
         hit = np.nonzero(byte)[0]
         if 2 * hit.size >= rows:
             out |= table[byte]

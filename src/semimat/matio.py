@@ -144,14 +144,16 @@ def _integer_text(lines, comments):
     """Whether the lines, outside comments, hold at least one integer and
     no byte but digits, signs and whitespace: numpy takes some non-ASCII
     letters for digits, numpy 1.x reads "1.5" as 1 and only warns, and
-    loadtxt warns on input without data. The lines are joined 64 KiB at a
-    time, small enough to leave the heap as loadtxt finds it."""
+    loadtxt warns on input without data. The lines are joined about 64 KiB
+    at a time, small enough to leave the heap as loadtxt finds it: each
+    join's line count comes from the previous join's characters per line
+    and at most doubles, so no one line, a blank one say, sizes the joins."""
     found = False
-    start = 0
+    start, count = 0, 1
     while start < len(lines):
-        stop = start + max(1, (1 << 16) // (len(lines[start]) + 1))
-        text = "\n".join(lines[start:stop])
-        start = stop
+        text = "\n".join(lines[start : start + count])
+        start += count
+        count = min(2 * count, max(1, (count << 16) // (len(text) + 1)))
         if comments is not None and comments in text:
             text = re.sub(f"{re.escape(comments)}.*", "", text)
         try:

@@ -146,6 +146,25 @@ def test_from_lists_names_a_nested_entry(cls, rows, entry):
         cls.from_lists(rows, 8)
 
 
+@pytest.mark.parametrize(
+    "rows, shown",
+    [
+        ([0, 1], "[0, 1]"),
+        (np.array([0, 1]), "array([0, 1])"),
+        (5, "5"),
+        (np.array(5), "array(5)"),
+        ([[0, 1], 1], "[[0, 1], 1]"),
+    ],
+    ids=range(5),
+)
+@pytest.mark.parametrize("cls", (BoolMatrix, AntidistMatrix, DistMatrix))
+def test_from_lists_refuses_input_that_is_not_rows(cls, rows, shown):
+    """A scalar, a 1-D sequence or array, or a row that is a scalar is a
+    ValueError naming the input, not a TypeError from len()."""
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2-D array-like of rows, got {shown}")):
+        cls.from_lists(rows)
+
+
 @pytest.mark.parametrize("dim", (2.0, 2.5, "2", None, 0, -1), ids=repr)
 @pytest.mark.parametrize("cls", (BoolMatrix, AntidistMatrix, DistMatrix))
 def test_matrix_dimensions_must_be_positive_integers(cls, dim):

@@ -322,6 +322,27 @@ def test_closure_against_both_oracles():
             assert got == oracle.closure_by_squaring(grid)
 
 
+@pytest.mark.parametrize("n", (8, 63, 64, 70, 130))
+def test_closure_follows_paths_through_all_of_a_groups_pivots(n):
+    """A descending path through every vertex crosses each group of eight
+    pivots from its top pivot down, seven steps inside the group, and every
+    other group is closed into a cycle. A row entering a group at its top
+    pivot must select the rows of all eight, so the group's closed map has
+    to cover paths of the whole group. A product is not closed."""
+    grid = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        grid[v][v - 1] = 1
+    for k0 in range(0, n, 16):
+        grid[k0][min(k0 + 8, n) - 1] = 1
+    m = BoolMatrix.from_lists(grid)
+    closed = oracle.closure_by_squaring(grid)
+    assert m.transitive_closure().to_lists() == closed
+    for v in range(n):
+        closed[v][v] = 1
+    assert m.reflexive_transitive_closure().to_lists() == closed
+    assert (m * m).to_lists() == oracle.naive_bool_mul(grid, grid)
+
+
 @pytest.fixture
 def table_lookups():
     """An ndarray subclass for a closure's blocks, and the row counts of the

@@ -256,6 +256,28 @@ def test_bench_closure_op(capsys):
     assert "equality=ok" in out.splitlines()[-1]
 
 
+def test_bench_closure_is_planned_over_several_components(capsys, monkeypatch):
+    """With tiles of 8 rows a 40-vertex bench closure is planned: its input
+    has more than one strongly connected component, so the vector closure is
+    relabelled and restored, and it still equals the scalar closure."""
+    monkeypatch.setattr(antidist, "_TILE_BYTES", 8 * 40)
+    calls = {"_components": [], "_permute": []}
+    for name, made in calls.items():
+        real = getattr(antidist, name)
+
+        def spy(*args, real=real, made=made):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(antidist, name, spy)
+    code, out, _ = run(capsys, "bench", "--op", "closure", "--size", "40", "--width", "8")
+    assert code == 0
+    assert "equality=ok" in out.splitlines()[-1]
+    [component] = calls["_components"]
+    assert component.max() > 0
+    assert len(calls["_permute"]) == 2
+
+
 def test_bench_rejects_zero_size(capsys):
     code, _, err = run(capsys, "bench", "--op", "mul", "--size", "0")
     assert code == 1
