@@ -69,13 +69,12 @@ def _output_args(p):
 
 
 def _emit(matrix, output, binary):
+    """Write the matrix to the output file or, without one, to stdout."""
     if output is not None:
         matio.save(matrix, output, binary=binary)
-    elif binary:
-        matio.to_binary(matrix, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(matio.format_text(matrix))
+        matio.save(matrix, sys.stdout.buffer if binary else sys.stdout, binary=binary)
+        sys.stdout.flush()
 
 
 def cmd_closure(args) -> int:

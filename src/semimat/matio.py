@@ -2,7 +2,13 @@
 
 Text: a header line ("bool R C", "antidist W R C" or "dist W R C") followed
 by R data lines, Boolean rows as runs of 0/1 characters, lane rows as
-space-separated decimals.
+space-separated decimals. Text is read and written in slabs of about
+``_SLAB_CHARS`` (64 Ki) characters, whole lines each: the reader fills the
+storage the matrix constructor allocates from the header, one slab of rows
+at a time, and ``save`` writes the text one slab of rows at a time. Either
+costs the matrix's own storage plus one slab, besides the text being read.
+A header whose rows the text is too short to hold is refused before any
+storage is allocated.
 
 Binary: a 16-byte header (magic ``SRMAT1``, a type byte, a width byte,
 row and column counts as little-endian uint32) followed by the row-major
@@ -10,6 +16,9 @@ payload: packed 64-bit little-endian blocks for Boolean matrices (padding
 bits zero), bare little-endian entries without padding for lane matrices.
 """
 
+import contextlib
+import functools
+import itertools
 import os
 import re
 import struct
@@ -19,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .antidist import AntidistMatrix, DistMatrix
-from .boolmat import BoolMatrix, _block_count, _unpack_bits
+from .boolmat import BoolMatrix, _block_count, _pack_bits, _unpack_bits
 
 MAGIC = b"SRMAT1"
 _HEADER = struct.Struct("<6sBBII")
@@ -55,16 +64,31 @@ def _build(make, *args):
 
 # -- text -------------------------------------------------------------------
 
-def format_text(m) -> str:
+# Characters of text read or written at a time: whole lines, about this many.
+_SLAB_CHARS = 1 << 16
+
+
+def format_text(m, start: int = 0, stop: int | None = None) -> str:
+    """The text of rows ``start`` to ``stop`` (exclusive, default the last)
+    of ``m``, led by the header line when ``start`` is 0: by default the
+    whole text."""
     name = _kind(m)[0]
     if isinstance(m, BoolMatrix):
-        head = f"{name} {m.rows} {m.cols}"
-        chars = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
-        np.add(_unpack_bits(m.blocks, m.cols), ord("0"), out=chars[:, :-1])
+        head = f"{name} {m.rows} {m.cols}\n"
+        bits = _unpack_bits(m.blocks[start:stop], m.cols)
+        chars = np.full((len(bits), m.cols + 1), ord("\n"), dtype=np.uint8)
+        np.add(bits, ord("0"), out=chars[:, :-1])
     else:
-        head = f"{name} {m.width} {m.rows} {m.cols}"
-        chars = _decimal_rows(m.data)
-    return f"{head}\n" + str(chars, "ascii")
+        head = f"{name} {m.width} {m.rows} {m.cols}\n"
+        chars = _decimal_rows(m.data[start:stop])
+    return (head if start == 0 else "") + str(chars, "ascii")
+
+
+def _rows_per_slab(m) -> int:
+    """How many rows of ``m`` fill at most a slab of text, or one row."""
+    _kind(m)
+    row_chars = m.cols + 1 if isinstance(m, BoolMatrix) else m.cols * (len(str(m.limit)) + 1)
+    return max(1, _SLAB_CHARS // row_chars)
 
 
 def _decimal_rows(entries):
@@ -76,7 +100,7 @@ def _decimal_rows(entries):
     row's last entry. One boolean mask then drops the leading zeros, the
     bytes of place 10**i in front of an entry below 10**i.
     """
-    digits = len(str(int(entries.max())))
+    digits = len(str(int(entries.max(initial=0))))
     chars = np.empty(entries.shape + (digits + 1,), np.uint8)
     rest, digit = entries, np.empty_like(entries)
     for place in reversed(range(digits)):
@@ -93,24 +117,24 @@ def _decimal_rows(entries):
     return chars[keep]
 
 
+def _slabs(text):
+    """The lines of ``text``, as ``text.splitlines()`` gives them, in lists
+    of about _SLAB_CHARS characters: each list's text ends at the first
+    newline that many characters past its start, so a cut never splits a
+    line or the two characters of "\\r\\n"."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _SLAB_CHARS)
+        stop = len(text) if stop < 0 else stop + 1
+        yield text[start:stop].splitlines()
+        start = stop
+
+
 def _parse_header_ints(parts):
     try:
         return [int(p) for p in parts]
     except ValueError:
         raise MatrixFormatError(f"non-integer header field in {parts!r}") from None
-
-
-def _data_lines(lines, rows, cols):
-    """The R data lines below the header; only blank lines may follow them."""
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    body = lines[1 : rows + 1]
-    if len(body) != rows:
-        raise MatrixFormatError(f"expected {rows} data rows, found {len(body)}")
-    for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
-        if line.strip():
-            raise MatrixFormatError(f"line {lineno}: the header declares {rows} rows, found more")
-    return body
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -166,10 +190,10 @@ def _integer_text(lines, comments):
     return found
 
 
-def _bad_line(body, cols):
-    """The error naming the first data line that does not hold ``cols``
-    integers _read_integers accepts."""
-    for lineno, line in enumerate(body, start=2):
+def _bad_line(lines, cols, lineno):
+    """The error naming the first of the data lines, numbered from
+    ``lineno``, that does not hold ``cols`` integers _read_integers accepts."""
+    for lineno, line in enumerate(lines, start=lineno):
         fields = line.split()
         if len(fields) != cols:
             return MatrixFormatError(f"line {lineno}: expected {cols} values, found {len(fields)}")
@@ -179,32 +203,100 @@ def _bad_line(body, cols):
             return MatrixFormatError(f"line {lineno}: {what} entry")
 
 
+def _lane_rows(width, lines, cols, lineno):
+    """The lane rows of data lines numbered from ``lineno``, as an array of
+    the lane dtype for ``width``. A malformed line is a MatrixFormatError,
+    an entry out of range (or the width) a ValueError."""
+    entries = _read_integers(lines)
+    if entries is None or entries.shape != (len(lines), cols):  # loadtxt skips blank lines
+        raise _bad_line(lines, cols, lineno)
+    return kernels.as_lanes(entries, width)
+
+
+def _bool_rows(lines, cols, lineno):
+    """The packed blocks of Boolean data lines numbered from ``lineno``."""
+    rows = [line.strip() for line in lines]
+    for lineno, row in enumerate(rows, start=lineno):
+        if len(row) != cols or row.strip("01"):
+            raise MatrixFormatError(f"line {lineno}: expected {cols} characters of 0/1")
+    chars = np.frombuffer("".join(rows).encode(), dtype=np.uint8).reshape(len(rows), cols)
+    return _pack_bits(chars == ord("1"))
+
+
+def _line_count_fault(text, rows):
+    """The error for text with fewer than ``rows`` lines below its header,
+    or with a line that is not blank below them; None if it has neither."""
+    lineno = 0
+    for lines in _slabs(text):
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            if lineno > rows + 1 and line.strip():
+                return MatrixFormatError(f"line {lineno}: the header declares {rows} rows, found more")
+    if lineno - 1 < rows:
+        return MatrixFormatError(f"expected {rows} data rows, found {lineno - 1}")
+
+
 def parse_text(text: str):
-    lines = text.splitlines()
+    slabs = _slabs(text)
+    lines = next(slabs, [])
     if not lines or not lines[0].split():
         raise MatrixFormatError("empty input, expected a matrix header line")
-    kind, *fields = lines[0].split()
+    header = lines[0]
+    kind, *fields = header.split()
     cls = _BY_NAME.get(kind)
     if cls is None:
         raise MatrixFormatError(f"unknown matrix type {kind!r}")
     if cls is BoolMatrix:
         if len(fields) != 2:
             raise MatrixFormatError("bool header must be 'bool R C'")
-        rows, cols = _parse_header_ints(fields)
-        body = [line.strip() for line in _data_lines(lines, rows, cols)]
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != cols or row.strip("01"):
-                raise MatrixFormatError(f"line {lineno}: expected {cols} characters of 0/1")
-        chars = np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols)
-        return BoolMatrix.from_lists(chars == ord("1"))
-    if len(fields) != 3:
-        raise MatrixFormatError(f"{kind} header must be '{kind} W R C'")
-    width, rows, cols = _parse_header_ints(fields)
-    body = _data_lines(lines, rows, cols)
-    entries = _read_integers(body)
-    if entries is None or entries.shape != (rows, cols):  # loadtxt skips blank lines
-        raise _bad_line(body, cols)
-    return _build(cls.from_lists, entries, width)
+        rows, cols = shape = _parse_header_ints(fields)
+        parse, row_chars = _bool_rows, cols
+    else:
+        if len(fields) != 3:
+            raise MatrixFormatError(f"{kind} header must be '{kind} W R C'")
+        width, rows, cols = _parse_header_ints(fields)
+        shape = rows, cols, width
+        parse, row_chars = functools.partial(_lane_rows, width), 2 * cols - 1
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    # Faults are reported as if the text were checked whole: the line count
+    # and lines below the rows first, then the first malformed row, then the
+    # width and the first entry out of range.
+    m = storage = late = None
+    if len(text) - len(header) < rows * (row_chars + 1):
+        # Too short to hold the rows and their line breaks: refused before any
+        # storage is allocated, by the line count or else by a short row.
+        fault = _line_count_fault(text, rows)
+        if fault is not None:
+            raise fault
+    else:
+        try:
+            m = cls(*shape)
+        except ValueError as exc:  # the width
+            late = MatrixFormatError(str(exc))
+        else:
+            storage = m._blocks if cls is BoolMatrix else m._data
+    row, lineno = 0, 2
+    for lines in itertools.chain([lines[1:]], slabs):
+        data = lines[: rows - row]
+        if data:
+            try:
+                part = parse(data, cols, lineno)
+            except MatrixFormatError as fault:
+                raise _line_count_fault(text, rows) or fault from None
+            except ValueError as exc:  # an entry out of range, or the width
+                late, storage = late or MatrixFormatError(str(exc)), None
+            else:
+                if storage is not None:
+                    storage[row : row + len(data)] = part
+            row += len(data)
+        if any(line.strip() for line in lines[len(data) :]):
+            raise _line_count_fault(text, rows)
+        lineno += len(lines)
+    if row < rows:
+        raise _line_count_fault(text, rows)
+    if late is not None:
+        raise late
+    return m
 
 
 # -- binary -----------------------------------------------------------------
@@ -222,11 +314,8 @@ def to_binary(m, file=None):
         payload = m.data.astype(m.data.dtype.newbyteorder("<"), copy=False)
     if file is None:
         return b"".join((header, payload))
-    if isinstance(file, (str, os.PathLike)):
-        with open(file, "wb") as out:
-            out.writelines((header, payload))
-    else:
-        file.writelines((header, payload))
+    with _opened(file, "wb") as out:
+        out.writelines((header, payload))
 
 
 def from_binary(data: bytes):
@@ -260,11 +349,27 @@ def from_binary(data: bytes):
 
 # -- files ------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _opened(file, mode):
+    """``file`` opened in ``mode`` if it is a path, else ``file`` itself."""
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, mode) as out:
+            yield out
+    else:
+        yield file
+
+
 def save(m, path, binary: bool = False) -> None:
+    """Write ``m`` to a path or to an open file, binary or text, the text
+    one slab of rows at a time. A path is opened only once ``m`` is known
+    to be a matrix."""
     if binary:
         to_binary(m, path)
-    else:
-        Path(path).write_text(format_text(m))
+        return
+    step = _rows_per_slab(m)
+    with _opened(path, "w") as out:
+        for start in range(0, m.rows, step):
+            out.write(format_text(m, start, start + step))
 
 
 def load(path):
@@ -276,4 +381,5 @@ def load(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: neither a binary matrix nor utf-8 text") from exc
+    del data  # only the text is kept while it is parsed
     return parse_text(text)

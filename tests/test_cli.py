@@ -197,6 +197,34 @@ def test_convert_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def semimat_stdout(*argv):
+    """The bytes a ``python -m semimat.cli`` process writes to stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(semimat.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "semimat.cli", *argv], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_stdout_text_is_written_in_slabs(tmp_path):
+    """Text output spanning many slabs reaches stdout byte for byte as
+    format_text gives it: an n=300 w32 product and a Boolean closure."""
+    rng = np.random.default_rng(300)
+    factors = [AntidistMatrix.from_lists(rng.integers(0, 2**32, (300, 300), dtype=np.uint32), 32) for _ in range(2)]
+    for name, m in zip("ab", factors):
+        matio.save(m, tmp_path / f"{name}.txt")
+    product = factors[0] * factors[1]
+    assert matio._rows_per_slab(product) < product.rows // 4
+    out = semimat_stdout("multiply", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"))
+    assert out == matio.format_text(product).encode()
+
+    ends = rng.integers(0, 600, (900, 2))
+    graph = tmp_path / "g.txt"
+    graph.write_text("p 600\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist()))
+    closure = graphio.bool_adjacency(graphio.parse_edge_list(graph.read_text())).transitive_closure()
+    assert matio._rows_per_slab(closure) < closure.rows // 4
+    assert semimat_stdout("closure", str(graph), "--bool") == matio.format_text(closure).encode()
+
+
 def timed_main(capsys, argv):
     """Run cli.main with --timings; returns its wall time, stdout and the
     (stage, seconds) pairs of its stderr, checked line by line."""
@@ -358,7 +386,7 @@ def test_graph_file_that_is_not_utf8_is_a_graph_parse_error(tmp_path, capsys):
         cli._read_graph(src)
 
 
-@pytest.mark.parametrize("text", ["bool 0 3\n", "bool 1 2\n01\n11\n"])
+@pytest.mark.parametrize("text", ["bool 0 3\n", "bool 1 2\n01\n11\n", "antidist 8 100000 100000\n0 1\n"])
 def test_malformed_matrix_file_is_an_error(tmp_path, capsys, text):
     src = tmp_path / "m.txt"
     src.write_text(text)

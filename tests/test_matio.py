@@ -1,18 +1,39 @@
+import functools
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semimat import matio
 from semimat.antidist import AntidistMatrix, DistMatrix
-from semimat.boolmat import BoolMatrix
+from semimat.boolmat import BoolMatrix, _Matrix
 from semimat.matio import MatrixFormatError
 from semimat.scalars import sat_limit
 
 WIDTHS = (8, 16, 32)
+
+# Slab sizes far below the module's: a few dozen characters put each
+# golden row in a slab of its own, and one character cuts the text after
+# every line, so blank and trailing lines land in later slabs.
+SMALL_SLABS = (24, 1)
+
+
+def over_slabs(test):
+    """Run ``test`` at the module's slab size, then at each of SMALL_SLABS."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for size in (matio._SLAB_CHARS, *SMALL_SLABS):
+            with mock.patch.object(matio, "_SLAB_CHARS", size):
+                test(*args, **kwargs)
+
+    return run
 
 
 def random_bool(rng, rows, cols):
@@ -58,6 +79,7 @@ def test_text_headers():
     assert matio.format_text(d).splitlines()[0] == "dist 32 2 3"
 
 
+@over_slabs
 def test_parse_text_errors():
     with pytest.raises(MatrixFormatError):
         matio.parse_text("")
@@ -98,6 +120,7 @@ def test_parse_text_errors():
         ("dist 16 2 2\n1 2\n-1 4\n", r"entry -1 outside \[0, 65535\]"),
     ],
 )
+@over_slabs
 def test_parse_text_errors_name_their_line(text, message):
     with pytest.raises(MatrixFormatError, match=message):
         matio.parse_text(text)
@@ -200,6 +223,7 @@ def test_parsers_run_in_threads_at_once():
     assert warnings.filters is filters
 
 
+@over_slabs
 def test_format_text_golden():
     b = BoolMatrix.zeros(2, 70)
     for j in range(0, 70, 3):
@@ -240,6 +264,7 @@ def test_to_binary_golden():
     ],
     ids=("bool", "antidist w8", "dist w32"),
 )
+@over_slabs
 def test_golden_per_kind(m, text, binary):
     """Each kind's name and type byte, and lane payloads little-endian."""
     assert matio.format_text(m) == text
@@ -363,3 +388,126 @@ def test_lane_text_is_space_separated_decimals(m):
     text = matio.format_text(m)
     assert text == f"{kind} {m.width} {m.rows} {m.cols}\n" + body
     assert matio.parse_text(text) == m
+
+
+# -- slabs --------------------------------------------------------------------
+
+def traced_peak(work):
+    """The tracemalloc peak, in bytes, of ``work()``."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "header, row",
+    [("antidist 8 100000 100000", " ".join(["255"] * 100000)), ("bool 100000 100000", "01" * 50000)],
+    ids=("lanes", "bool"),
+)
+def test_header_beyond_the_text_is_refused_before_allocating(header, row):
+    """A header declaring more rows than the text can hold (10 GB of
+    storage here) is refused with the line count, allocating under 1 MiB:
+    no matrix constructor is reached."""
+    text = f"{header}\n{row}\n"
+
+    def parse():
+        with pytest.raises(MatrixFormatError, match="^expected 100000 data rows, found 1$"):
+            matio.parse_text(text)
+
+    reached = AssertionError("a matrix constructor was reached")
+    with mock.patch.object(_Matrix, "_check_storage", side_effect=reached):
+        assert traced_peak(parse) < 1 << 20
+
+
+@pytest.mark.parametrize("kind", ["lanes", "bool"])
+def test_text_io_costs_the_storage_plus_one_slab(kind, tmp_path):
+    """Parsing and saving an n=1024 w8 lane text (4 MB) or an n=2048
+    Boolean text (4 MB) peaks under the matrix's storage plus 1 MiB."""
+    rng = np.random.default_rng(kind == "bool")
+    if kind == "lanes":
+        m = AntidistMatrix.from_lists(rng.integers(0, 256, (1024, 1024), dtype=np.uint8), 8)
+        storage = m.data.nbytes
+    else:
+        m = BoolMatrix.from_lists(rng.integers(0, 2, (2048, 2048), dtype=np.uint8))
+        storage = m.blocks.nbytes
+    text = matio.format_text(m)
+    parsed = []
+    assert traced_peak(lambda: parsed.append(matio.parse_text(text))) < storage + (1 << 20)
+    assert parsed == [m]
+    path = tmp_path / "m.txt"
+    assert traced_peak(lambda: matio.save(m, path)) < storage + (1 << 20)
+    assert path.read_text() == text
+
+
+def cut_texts():
+    """Texts whose lines end in "\\r\\n", with blank lines inside and below
+    the rows, each good or with one fault."""
+    yield "antidist 8 3 4\r\n1 2 3 4\r\n\t5 6 7 8 \r\n9 10 11 12\r\n\r\n \r\n"
+    yield "dist 16 2 3\n1 2 3\r\n4 5 6\n\n\n"
+    yield "bool 3 5\r\n01101\r\n  10000\r\n11111\r\n\r\n"
+    yield "bool 3 5\r\n01101\r\n\r\n11111\r\n"
+    yield "antidist 8 2 4\r\n1 2 3 4\r\n5 6 7 8\r\n\r\n\r\n1"
+    yield "bool 2 5\n01101\n10000\n\n\n\n11111\n"
+    yield "antidist 8 3 2\n1 2\n3 300\n5 x\n"
+    yield "dist 8 3 2\n1 2\n3 4\n"
+
+
+@pytest.mark.parametrize("text", list(cut_texts()))
+def test_every_slab_cut_reads_the_same(text, monkeypatch):
+    """Every slab size, from one character to the whole text, reads the
+    same matrix or reports the same fault."""
+
+    def outcome():
+        try:
+            return matio.parse_text(text)
+        except MatrixFormatError as exc:
+            return str(exc)
+
+    want = outcome()
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(matio, "_SLAB_CHARS", size)
+        assert outcome() == want, size
+
+
+@pytest.mark.parametrize(
+    "cls, width",
+    [(BoolMatrix, None)] + [(cls, width) for cls in (AntidistMatrix, DistMatrix) for width in WIDTHS],
+)
+def test_roundtrip_over_many_slabs(cls, width, tmp_path, monkeypatch):
+    """Each kind and width, cut into many slabs, writes the whole text's
+    bytes slab by slab and reads back the matrix."""
+    rng = random.Random(f"{cls.__name__}-{width}")
+    m = random_bool(rng, 37, 70) if cls is BoolMatrix else random_lane(cls, rng, 37, 23, width)
+    text = matio.format_text(m)
+    monkeypatch.setattr(matio, "_SLAB_CHARS", 1000)
+    step = matio._rows_per_slab(m)
+    assert 1 < step < m.rows
+    assert "".join(matio.format_text(m, start, start + step) for start in range(0, m.rows, step)) == text
+    matio.save(m, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_text() == text
+    assert matio.parse_text(text) == m
+    assert matio.load(tmp_path / "m.txt") == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["bool 2 3", "antidist 8 2 3", "dist 16 3 2", "antidist 9 2 2"]),
+    st.text(alphabet="0123 \n\r\t-x", max_size=30),
+    st.integers(1, 12),
+)
+def test_faults_do_not_depend_on_the_slab(header, body, size):
+    """Small texts, most with several faults, read or fail the same way at
+    any slab size."""
+
+    def outcome():
+        try:
+            return matio.parse_text(f"{header}\n{body}")
+        except MatrixFormatError as exc:
+            return str(exc)
+
+    want = outcome()
+    with mock.patch.object(matio, "_SLAB_CHARS", size):
+        assert outcome() == want
