@@ -26,33 +26,10 @@ access to the receiver while they run.
 
 A product and a closure run the same max-plus outer-product sweep, one per
 path; the closure is the product with the matrix passed as output and both
-factors, swept in place. The vector path is blocked: it takes the steps in
-blocks of 128 (``_BLOCK``), and each row tile of about 512 KiB
-(``_TILE_BYTES``) runs all of a block's steps while it stays in L2. A
-closure first runs the block's steps in order on the block's own pivot rows,
-which closes them over the block; the rest of the block is then a product of
-the block's columns with the pivot rows. So every block has a fixed left
-panel, and its step decisions are planned once: the hits of each tile in
-each step, and for the steps with few distinct entries a table of one
-candidate row per entry. A tile step then skips, gathers the rows that hit,
-takes its candidates from the table, or broadcasts one candidate per row.
-The scalar path is the plain unblocked sweep.
-
-Each block of the vector path works on one window of columns: from the
-first to the last column where any of the block's rows of the right factor
-is nonzero. Step k changes only columns where row k is nonzero, because
-subsat(0, x) = 0, so the window bounds every step of the block, and a block
-with no nonzero column is skipped.
-
-A vector closure that fits in one tile runs the in-order sweep on all rows.
-A larger one is planned from the matrix's support (its nonzero entries as
-packed bits): one depth-first search finds its strongly connected
-components, sinks first. With one component the blocked sweep runs on the
-matrix as it is. Otherwise the vertices are relabelled component after
-component, sinks first. Then a row hits step k only if it has an edge into
-k's component, so most tiles skip. The matrix is permuted in place, the
-blocked sweep runs, and the inverse permutation restores the labels in
-place.
+factors, swept in place. The vector path is blocked, planned from the
+matrix's structure, and picks each step's branch by one rule; the comment
+block above the compute engines describes it. The scalar path is the plain
+unblocked sweep.
 """
 
 import numpy as np
@@ -369,31 +346,38 @@ class DistMatrix(_LaneMatrix):
 # The left panel of a block's product is fixed while it runs, so
 # _sweep_block plans the block once, in whole-array calls: a transposed copy
 # of the panel; the hits of each (tile, step), one count_nonzero per tile of
-# about _TILE_BYTES; and the distinct entries of each step that is dense in
-# some tile (_few_distinct), by one bincount of entry + 256 * step at width 8
-# and by a sort at wider widths. A step with at most a quarter as many
-# distinct entries as a tile has rows gets a table of its candidate rows
+# about _TILE_BYTES, and from them whether the step is dense in the tile (at
+# least half its rows hit); and the distinct entries of each step that is
+# dense in some tile (_few_distinct), by one bincount of entry + 256 * step
+# at width 8 and by a sort at wider widths. A step with at most a quarter as
+# many distinct entries as a tile has rows gets a table of its candidate rows
 # subsat(right[k], S - e), one per distinct entry e, and the rank of each
 # row's entry in it (the Four Russians idea of one table per block,
 # Arlazarov et al. 1970). The table steps are grouped so that one group's
-# tables fit in a tile. Then each tile runs the group's steps in order
-# (_sweep_tile), each by one of four branches:
+# tables fit in a tile. Then each tile gets the group's steps that hit it, in
+# order, as (step, dense) pairs; a step with no hit is skipped, and a tile
+# with no hit in the group is not visited.
 #
-# - no hits: skip the step, and a tile with no hit in the group is not
-#   visited;
-# - fewer than half the tile's rows hit: gather the hit rows, combine them
-#   with their candidates and scatter them back;
-# - a table: one take of the candidate rows by rank and one maximum;
-# - otherwise broadcast: build one candidate row per row and take the
+# _sweep_tile is the one place where a step's branch is chosen:
+#
+# - a sparse step gathers the hit rows, combines them with their candidates
+#   and scatters them back;
+# - a dense step with a table takes one candidate row per row from the table
+#   by rank and one maximum;
+# - any other dense step broadcasts: one candidate row per row and the
 #   maximum, three passes over the tile.
 #
-# The last two update the tile in place. This is exact: a missed row's
+# The last two update the whole tile in place. This is exact: a missed row's
 # candidate is 0, which leaves it as it was, and no tile holds a pivot row.
 #
-# A closure that fits in one tile runs _sweep_rows on all its rows, half a
-# tile at a time so that the rows and their candidates fit in a tile. Step k
-# never changes row k or column k (subsat(x, S - e) <= x), so no row reads a
-# value the same step wrote.
+# The pivot phase (_sweep_rows) runs each step over the block's pivot rows,
+# len(buf) rows at a time, and hands each run with a hit to _sweep_tile as a
+# one-step tile with no tables, on live views of the matrix: its transpose as
+# the panel and its window as the right factor, so each step reads what the
+# earlier ones wrote. A closure that fits in one tile runs _sweep_rows on all
+# its rows, half a tile at a time so that the rows and their candidates fit
+# in a tile. Step k never changes row k or column k (subsat(x, S - e) <= x),
+# so no row reads a value the same step wrote.
 #
 # A closure on the vector path that does not fit in one tile is planned first
 # (_maxplus_close). A lane is nonzero only where a path exists, so the
@@ -419,7 +403,6 @@ class DistMatrix(_LaneMatrix):
 
 _BLOCK = 128
 _TILE_BYTES = 512 * 1024
-_GATHER, _TABLE, _BROADCAST = 1, 2, 3  # a tile step's branch; 0 skips the step
 
 
 def _maxplus_sweep(out, left, right, limit):
@@ -446,21 +429,13 @@ def _sweep_rows(out, ks, limit, buf, cols):
     """Run steps ``ks`` in order on columns ``cols`` of rows ``ks`` of
     ``out``, ``len(buf)`` rows at a time: a closure's pivot phase, where each
     step reads what the earlier ones wrote."""
-    height = len(buf)
+    panel, right = out.T, out[:, cols]  # live views: row k of panel is column k
     for k in ks:
-        row_k = out[k, cols]
-        for lo in range(ks.start, ks.stop, height):
-            tile = out[lo : min(lo + height, ks.stop)]
-            column = tile[:, k]
-            hits = np.count_nonzero(column)
-            if not hits:
-                continue
-            part, cand = tile[:, cols], _scratch(buf, len(tile), row_k.size)
-            if 2 * hits >= len(tile):
-                _broadcast_step(part, column, row_k, limit, cand)
-            else:
-                hit = (column != 0).nonzero()[0]  # a contiguous mask: faster than the strided column
-                _gather_step(part, hit, column[hit], row_k, limit, cand)
+        for lo in range(ks.start, ks.stop, len(buf)):
+            hi = min(lo + len(buf), ks.stop)
+            hits = np.count_nonzero(panel[k, lo:hi])
+            if hits:
+                _sweep_tile(right[lo:hi], lo, panel, right, limit, ((k, 2 * hits >= hi - lo),), {}, buf)
 
 
 def _sweep_block(out, left, right, limit, ks, parts, height, buf, cols):
@@ -474,12 +449,8 @@ def _sweep_block(out, left, right, limit, ks, parts, height, buf, cols):
     right = right[ks.start : ks.stop, cols]
     hits = np.array([np.count_nonzero(panel[:, lo:hi], axis=1) for lo, hi in tiles])
     dense = 2 * hits >= np.array([hi - lo for lo, hi in tiles])[:, None]
-    branch = np.where(dense, _BROADCAST, np.where(hits != 0, _GATHER, 0))
     most = max(hi - lo for lo, hi in tiles) // 4  # distinct entries a table may hold
     tabled, counts, entries, ranks = _few_distinct(panel, np.flatnonzero(dense.any(axis=0)), most)
-    table_step = np.zeros(len(ks), bool)
-    table_step[tabled] = True
-    branch[dense & table_step] = _TABLE
 
     # Group the table steps so that one group's candidate rows fit in a tile.
     width = right.shape[1]
@@ -506,10 +477,10 @@ def _sweep_block(out, left, right, limit, ks, parts, height, buf, cols):
                 tables[tabled[i]] = table[starts[i] - starts[i0] : starts[i + 1] - starts[i0]], ranks[i]
         g0 = tabled[i0] if i0 else 0
         g1 = tabled[i1] if i1 < len(tabled) else len(ks)
-        for (lo, hi), plan in zip(tiles, branch[:, g0:g1]):
-            todo = plan.nonzero()[0]
+        for (lo, hi), hit, tile_dense in zip(tiles, hits[:, g0:g1], dense[:, g0:g1]):
+            todo = hit.nonzero()[0]
             if todo.size:
-                steps = zip((todo + g0).tolist(), plan[todo].tolist())
+                steps = zip((todo + g0).tolist(), tile_dense[todo].tolist())
                 _sweep_tile(out[lo:hi, cols], lo, panel, right, limit, steps, tables, buf)
 
 
@@ -557,20 +528,22 @@ def _few_distinct(panel, steps, most):
 
 
 def _sweep_tile(tile, lo, panel, right, limit, steps, tables, buf):
-    """Run ``steps``, (step, branch) pairs in order, on ``tile``: the block's
-    window of the rows of ``out`` from ``lo`` on."""
+    """Run ``steps``, (step, dense) pairs in order, on ``tile``: the rows of
+    ``out`` from ``lo`` on, in the block's window. A dense step with a table
+    takes it, another dense step broadcasts and a sparse one gathers its hit
+    rows."""
     hi = lo + len(tile)
     cand = _scratch(buf, len(tile), tile.shape[1])
-    for k, branch in steps:
-        if branch == _TABLE:
-            table, ranks = tables[k]
-            _table_step(tile, table, ranks[lo:hi], cand)
-        elif branch == _BROADCAST:
-            _broadcast_step(tile, panel[k, lo:hi], right[k], limit, cand)
-        else:
+    for k, dense in steps:
+        if not dense:
             column = panel[k, lo:hi]
             hit = column.nonzero()[0]
             _gather_step(tile, hit, column[hit], right[k], limit, cand)
+        elif k in tables:
+            table, ranks = tables[k]
+            _table_step(tile, table, ranks[lo:hi], cand)
+        else:
+            _broadcast_step(tile, panel[k, lo:hi], right[k], limit, cand)
 
 
 def _scratch(buf, rows, cols):

@@ -641,11 +641,15 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     monkeypatch.setattr(antidist, "_TILE_BYTES", tile_rows * cols * width // 8)
     runs = Runs()
     real_rows, real_block, real_tile = antidist._sweep_rows, antidist._sweep_block, antidist._sweep_tile
-    block_steps = []
+    block_steps, pivot_phase = [], []
 
     def rows_spy(out, ks, limit, buf, cols):
         runs.append((ks.start, ks.stop, ks))
-        real_rows(out, ks, limit, buf, cols)
+        pivot_phase.append(ks)
+        try:
+            real_rows(out, ks, limit, buf, cols)
+        finally:
+            pivot_phase.clear()
 
     def block_spy(out, left, right, limit, ks, parts, height, buf, cols):
         block_steps[:] = [ks]
@@ -655,7 +659,8 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
         real_block(out, left, right, limit, ks, parts, height, buf, cols)
 
     def tile_spy(tile, lo, panel, right, limit, steps, tables, buf):
-        runs.append((lo, lo + len(tile), block_steps[0]))
+        if not pivot_phase:  # the pivot phase runs its steps as one-step tiles
+            runs.append((lo, lo + len(tile), block_steps[0]))
         real_tile(tile, lo, panel, right, limit, steps, tables, buf)
 
     monkeypatch.setattr(antidist, "_sweep_rows", rows_spy)
