@@ -130,13 +130,6 @@ def _slabs(text):
         start = stop
 
 
-def _parse_header_ints(parts):
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise MatrixFormatError(f"non-integer header field in {parts!r}") from None
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -245,17 +238,17 @@ def parse_text(text: str):
     cls = _BY_NAME.get(kind)
     if cls is None:
         raise MatrixFormatError(f"unknown matrix type {kind!r}")
-    if cls is BoolMatrix:
-        if len(fields) != 2:
-            raise MatrixFormatError("bool header must be 'bool R C'")
-        rows, cols = shape = _parse_header_ints(fields)
-        parse, row_chars = _bool_rows, cols
+    form = "R C" if cls is BoolMatrix else "W R C"  # a lane header names the width first
+    if len(fields) != len(form.split()):
+        raise MatrixFormatError(f"{kind} header must be '{kind} {form}'")
+    try:
+        *width, rows, cols = map(int, fields)
+    except ValueError:
+        raise MatrixFormatError(f"non-integer header field in {fields!r}") from None
+    if width:
+        parse, row_chars = functools.partial(_lane_rows, *width), 2 * cols - 1
     else:
-        if len(fields) != 3:
-            raise MatrixFormatError(f"{kind} header must be '{kind} W R C'")
-        width, rows, cols = _parse_header_ints(fields)
-        shape = rows, cols, width
-        parse, row_chars = functools.partial(_lane_rows, width), 2 * cols - 1
+        parse, row_chars = _bool_rows, cols
     if rows < 1 or cols < 1:
         raise MatrixFormatError(f"matrix dimensions must be positive, got {rows}x{cols}")
     # Faults are reported as if the text were checked whole: the line count
@@ -270,7 +263,7 @@ def parse_text(text: str):
             raise fault
     else:
         try:
-            m = cls(*shape)
+            m = cls(rows, cols, *width)
         except ValueError as exc:  # the width
             late = MatrixFormatError(str(exc))
         else:
