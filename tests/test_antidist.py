@@ -646,10 +646,8 @@ def shrink_sweep(monkeypatch, width, cols, block=7, tile_rows=5):
     def rows_spy(out, ks, limit, buf, cols):
         runs.append((ks.start, ks.stop, ks))
         pivot_phase.append(ks)
-        try:
-            real_rows(out, ks, limit, buf, cols)
-        finally:
-            pivot_phase.clear()
+        real_rows(out, ks, limit, buf, cols)
+        pivot_phase.clear()
 
     def block_spy(out, left, right, limit, ks, parts, height, buf, cols):
         block_steps[:] = [ks]
