@@ -47,25 +47,22 @@ from .scalars import sat_limit
 
 
 class _LaneMatrix(_Matrix):
-    """Shared storage and entrywise algebra of the two saturated matrix types."""
+    """Width, lane access and entrywise algebra of the two saturated matrix
+    types; the storage rules are those of every matrix, in ``_Matrix``."""
 
-    __slots__ = ("width", "_data")
+    __slots__ = ("width",)
 
     _EMPTY_IS_LIMIT = False  # a matrix built without data is all S, else all 0
 
     def __init__(self, rows: int, cols: int, width: int = 8, _data=None):
         super().__init__(rows, cols)
         dtype = kernels.dtype_for(width)
-        self._check_storage(self.cols * np.dtype(dtype).itemsize, f"a {self.rows}x{self.cols} matrix of width {width}")
         self.width = width
-        if _data is None:
-            fill = self.limit if self._EMPTY_IS_LIMIT else 0
-            _data = np.full((self.rows, self.cols), fill, dtype)
-        elif _data.shape != (self.rows, self.cols) or _data.dtype != dtype:
-            raise ValueError(
-                f"backing array {_data.shape} {_data.dtype} is not {rows}x{cols} {np.dtype(dtype)}"
-            )
-        self._data = _data
+        fill = self.limit if self._EMPTY_IS_LIMIT else 0
+        self._hold(_data, self.cols, dtype, f"a {self.rows}x{self.cols} matrix of width {width}", fill)
+
+    def _like(self, store):
+        return type(self)(self.rows, self.cols, self.width, store)
 
     # -- basics ----------------------------------------------------------
 
@@ -74,29 +71,21 @@ class _LaneMatrix(_Matrix):
         """Saturation limit S for this width."""
         return sat_limit(self.width)
 
-    @property
-    def data(self):
-        """Raw lane storage, a (rows, cols) array, as a read-only view."""
-        view = self._data.view()
-        view.flags.writeable = False
-        return view
-
-    def copy(self):
-        return type(self)(self.rows, self.cols, self.width, self._data.copy())
+    data = property(_Matrix._view, doc="Raw lane storage, a (rows, cols) array, as a read-only view.")
 
     def get(self, i: int, j: int) -> int:
         i, j = self._check_index(i, j)
-        return int(self._data[i, j])
+        return int(self._store[i, j])
 
     def set(self, i: int, j: int, value: int) -> None:
         i, j = self._check_index(i, j)
         lane = kernels.as_lanes(value, self.width)
         if lane.ndim:
             raise ValueError(f"entry {value!r} is not a number")
-        self._data[i, j] = lane
+        self._store[i, j] = lane
 
     def to_lists(self) -> list[list[int]]:
-        return self._data.tolist()
+        return self._store.tolist()
 
     @classmethod
     def from_lists(cls, rows, width: int = 8):
@@ -110,32 +99,28 @@ class _LaneMatrix(_Matrix):
 
     # -- entrywise algebra -------------------------------------------------
 
-    def _entrywise(self, other, np_op, py_op):
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if (self.rows, self.cols, self.width) != (other.rows, other.cols, other.width):
-            raise ValueError(
-                f"shape/width mismatch: {self.rows}x{self.cols}/w{self.width} vs "
-                f"{other.rows}x{other.cols}/w{other.width}"
-            )
+    def _lanewise(self, other, np_op, py_op):
+        """The entrywise op on this call's path: ``np_op`` on the arrays, or
+        ``py_op`` on their flat lists of Python ints."""
         if kernels.use_vector():
-            data = np_op(self._data, other._data)
-        else:
-            flat = py_op(self._data.reshape(-1).tolist(), other._data.reshape(-1).tolist())
-            data = np.array(flat, dtype=self._data.dtype).reshape(self._data.shape)
-        return type(self)(self.rows, self.cols, self.width, data)
+            return self._entrywise(other, np_op)
+
+        def scalar_op(a, b):
+            return np.array(py_op(a.reshape(-1).tolist(), b.reshape(-1).tolist()), a.dtype).reshape(a.shape)
+
+        return self._entrywise(other, scalar_op)
 
     def __and__(self, other):
         """Lanewise minimum."""
-        return self._entrywise(other, np.minimum, kernels.py_min)
+        return self._lanewise(other, np.minimum, kernels.py_min)
 
     def __or__(self, other):
         """Lanewise maximum."""
-        return self._entrywise(other, np.maximum, kernels.py_max)
+        return self._lanewise(other, np.maximum, kernels.py_max)
 
     def __xor__(self, other):
         """Lanewise absolute difference."""
-        return self._entrywise(other, kernels.np_absdiff, kernels.py_absdiff)
+        return self._lanewise(other, kernels.np_absdiff, kernels.py_absdiff)
 
     def __invert__(self):
         """Complement at width, switching between the two encodings."""
@@ -145,24 +130,15 @@ class _LaneMatrix(_Matrix):
         """Complement the storage in place and return it wrapped as the other
         class. The receiver shares that storage, so it holds the complement
         until the result is flipped back."""
-        np.subtract(self.limit, self._data, out=self._data)
+        np.subtract(self.limit, self._store, out=self._store)
         cls = DistMatrix if isinstance(self, AntidistMatrix) else AntidistMatrix
-        return cls(self.rows, self.cols, self.width, self._data)
+        return cls(self.rows, self.cols, self.width, self._store)
 
     def _check_factor(self, other):
         """Width and inner-dimension agreement of the product ``self * other``."""
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
         self._check_inner(other)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            (self.rows, self.cols, self.width)
-            == (other.rows, other.cols, other.width)
-            and np.array_equal(self._data, other._data)
-        )
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.rows}x{self.cols} width={self.width}>"
@@ -181,7 +157,7 @@ class AntidistMatrix(_LaneMatrix):
         """Distance zero on the diagonal, unreachable elsewhere; neutral for ``*``."""
         m = cls(dim, dim, width)
         idx = np.arange(dim)
-        m._data[idx, idx] = m.limit
+        m._store[idx, idx] = m.limit
         return m
 
     @classmethod
@@ -195,7 +171,7 @@ class AntidistMatrix(_LaneMatrix):
         m = cls(dim, dim, width)
         ends, weights = _edge_table(dim, edges)
         lanes = kernels.as_lanes(weights, width, "weight")
-        np.maximum.at(m._data.reshape(-1), ends[:, 0] * dim + ends[:, 1], m.limit - lanes)
+        np.maximum.at(m._store.reshape(-1), ends[:, 0] * dim + ends[:, 1], m.limit - lanes)
         return m
 
     @classmethod
@@ -206,7 +182,7 @@ class AntidistMatrix(_LaneMatrix):
 
     def to_boolmat(self) -> BoolMatrix:
         """Reachability structure: any finite distance becomes 1."""
-        return BoolMatrix(self.rows, self.cols, _pack_bits(self._data > 0))
+        return BoolMatrix(self.rows, self.cols, _pack_bits(self._store > 0))
 
     def __mul__(self, other) -> "AntidistMatrix":
         """Semiring product: entry (i, j) is the best saturated sum over k.
@@ -219,24 +195,24 @@ class AntidistMatrix(_LaneMatrix):
         if not isinstance(other, AntidistMatrix):
             return NotImplemented
         self._check_factor(other)
-        data = np.zeros((self.rows, other.cols), dtype=self._data.dtype)
+        out = AntidistMatrix(self.rows, other.cols, self.width)
         if kernels.use_vector():
-            _maxplus_sweep(data, self._data, other._data, self.limit)
+            _maxplus_sweep(out._store, self._store, other._store, self.limit)
         else:
-            work = data.tolist()
-            _maxplus_sweep_scalar(work, self._data.tolist(), other._data.tolist(), self.limit)
-            data[...] = work
-        return AntidistMatrix(self.rows, other.cols, self.width, data)
+            work = out._store.tolist()
+            _maxplus_sweep_scalar(work, self._store.tolist(), other._store.tolist(), self.limit)
+            out._store[...] = work
+        return out
 
     def transitive_close(self) -> None:
         """In-place variant of :meth:`transitive_closure`."""
         self._check_square()
         if kernels.use_vector():
-            _maxplus_close(self._data, self.limit)
+            _maxplus_close(self._store, self.limit)
         else:
-            work = self._data.tolist()
+            work = self._store.tolist()
             _maxplus_sweep_scalar(work, work, work, self.limit)
-            self._data[...] = work
+            self._store[...] = work
 
     def transitive_closure(self) -> "AntidistMatrix":
         """Best saturated path value for every ordered pair (>= 1 edge).

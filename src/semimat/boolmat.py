@@ -70,9 +70,12 @@ def _edge_table(dim: int, edges):
 
 
 class _Matrix:
-    """Shape rules shared by the Boolean and the saturated matrix types."""
+    """Shape and storage rules shared by the Boolean and the saturated matrix
+    types. A matrix holds one row-major array, ``_store``; each type builds
+    another matrix of its kind, shape and width around an array with
+    ``_like(store)``."""
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("rows", "cols", "_store")
 
     def __init__(self, rows: int, cols: int):
         try:
@@ -82,11 +85,52 @@ class _Matrix:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix dimensions must be positive integers, got {rows!r}x{cols!r}")
 
+    def _hold(self, store, row_length: int, dtype, what: str, fill=0) -> None:
+        """Allocate the storage, ``row_length`` entries of ``dtype`` a row, all
+        ``fill``, or adopt ``store``, which must have that shape and dtype;
+        ``what`` names the matrix if numpy cannot address its storage."""
+        dtype = np.dtype(dtype)
+        self._check_storage(row_length * dtype.itemsize, what)
+        shape = (self.rows, row_length)
+        if store is None:
+            store = np.zeros(shape, dtype) if fill == 0 else np.full(shape, fill, dtype)
+        elif store.shape != shape or store.dtype != dtype:
+            raise ValueError(f"backing array {store.shape} {store.dtype} is not {shape} {dtype}")
+        self._store = store
+
     def _check_storage(self, row_bytes: int, what: str) -> None:
         """Refuse a matrix whose storage, ``row_bytes`` a row, numpy cannot
         address: ``what`` names its shape."""
         if self.rows * row_bytes > np.iinfo(np.intp).max:
             raise ValueError(f"{what} needs {self.rows * row_bytes} bytes, more than numpy can address")
+
+    def copy(self):
+        return self._like(self._store.copy())
+
+    def _view(self):
+        """The storage as a read-only view."""
+        view = self._store.view()
+        view.flags.writeable = False
+        return view
+
+    def _form(self):
+        """Rows, columns and dtype: the shape and the width of the storage."""
+        return self.rows, self.cols, self._store.dtype
+
+    def _entrywise(self, other, op):
+        """``op`` of the two storages, as a matrix like ``self``. ``other``
+        must be of the same type (else TypeError), shape and width (else
+        ValueError)."""
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self._form() != other._form():
+            raise ValueError(f"shape mismatch: {self!r} vs {other!r}")
+        return self._like(op(self._store, other._store))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._form() == other._form() and np.array_equal(self._store, other._store)
 
     @staticmethod
     def _row_length(rows) -> int:
@@ -126,8 +170,6 @@ class _Matrix:
         if self.rows != self.cols:
             raise ValueError(f"closure needs a square matrix, got {self.rows}x{self.cols}")
 
-    __hash__ = None
-
 
 class BoolMatrix(_Matrix):
     """R x C matrix over {0, 1} under the (or, and) semiring.
@@ -139,16 +181,14 @@ class BoolMatrix(_Matrix):
     across threads as long as set() is not used concurrently.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, _blocks=None):
         super().__init__(rows, cols)
-        self._check_storage(8 * _block_count(self.cols), f"a {self.rows}x{self.cols} Boolean matrix")
-        if _blocks is None:
-            _blocks = np.zeros((self.rows, _block_count(self.cols)), dtype=np.uint64)
-        elif _blocks.shape != (self.rows, _block_count(self.cols)) or _blocks.dtype != np.uint64:
-            raise ValueError("backing array does not match the blocked shape")
-        self._blocks = _blocks
+        self._hold(_blocks, _block_count(self.cols), np.uint64, f"a {self.rows}x{self.cols} Boolean matrix")
+
+    def _like(self, store):
+        return BoolMatrix(self.rows, self.cols, store)
 
     # -- construction -------------------------------------------------
 
@@ -184,52 +224,35 @@ class BoolMatrix(_Matrix):
                         raise ValueError(f"entry must be 0 or 1, got {v!r}")
         return cls(len(rows), ncols, _pack_bits(bits != 0))
 
-    def copy(self) -> "BoolMatrix":
-        return BoolMatrix(self.rows, self.cols, self._blocks.copy())
-
     # -- access --------------------------------------------------------
 
     @property
     def block_columns(self) -> int:
-        return self._blocks.shape[1]
+        return self._store.shape[1]
 
-    @property
-    def blocks(self):
-        """Raw 64-bit block storage, as a read-only view."""
-        view = self._blocks.view()
-        view.flags.writeable = False
-        return view
+    blocks = property(_Matrix._view, doc="Raw 64-bit block storage, as a read-only view.")
 
     def get(self, i: int, j: int) -> int:
         i, j = self._check_index(i, j)
-        return (int(self._blocks[i, j >> 6]) >> (j & 63)) & 1
+        return (int(self._store[i, j >> 6]) >> (j & 63)) & 1
 
     def _set_bits(self, rows, cols) -> None:
         """Set the bits at the intp index arrays (rows, cols), repeats allowed."""
         masks = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-        np.bitwise_or.at(self._blocks, (rows, cols >> 6), masks)
+        np.bitwise_or.at(self._store, (rows, cols >> 6), masks)
 
     def set(self, i: int, j: int, value: int) -> None:
         i, j = self._check_index(i, j)
         if value not in (0, 1):
             raise ValueError(f"entry must be 0 or 1, got {value!r}")
-        word = int(self._blocks[i, j >> 6])
+        word = int(self._store[i, j >> 6])
         bit = 1 << (j & 63)
-        self._blocks[i, j >> 6] = np.uint64(word | bit if value else word & ~bit)
+        self._store[i, j >> 6] = np.uint64(word | bit if value else word & ~bit)
 
     def to_lists(self) -> list[list[int]]:
-        return _unpack_bits(self._blocks, self.cols).tolist()
+        return _unpack_bits(self._store, self.cols).tolist()
 
     # -- entrywise operations -------------------------------------------
-
-    def _entrywise(self, other, op) -> "BoolMatrix":
-        if not isinstance(other, BoolMatrix):
-            raise TypeError(f"expected BoolMatrix, got {type(other).__name__}")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return BoolMatrix(self.rows, self.cols, op(self._blocks, other._blocks))
 
     def __or__(self, other) -> "BoolMatrix":
         return self._entrywise(other, np.bitwise_or)
@@ -241,19 +264,11 @@ class BoolMatrix(_Matrix):
         return self._entrywise(other, np.bitwise_xor)
 
     def __invert__(self) -> "BoolMatrix":
-        flipped = ~self._blocks
+        flipped = ~self._store
         tail = self.cols & (BLOCK_BITS - 1)
         if tail:
             flipped[:, -1] &= np.uint64((1 << tail) - 1)
-        return BoolMatrix(self.rows, self.cols, flipped)
-
-    def __eq__(self, other):
-        if not isinstance(other, BoolMatrix):
-            return NotImplemented
-        return (
-            (self.rows, self.cols) == (other.rows, other.cols)
-            and np.array_equal(self._blocks, other._blocks)
-        )
+        return self._like(flipped)
 
     # -- semiring product and closures -----------------------------------
 
@@ -269,7 +284,7 @@ class BoolMatrix(_Matrix):
             return NotImplemented
         self._check_inner(other)
         out = BoolMatrix(self.rows, other.cols)
-        _table_sweep(out._blocks, self._blocks, other._blocks)
+        _table_sweep(out._store, self._store, other._store)
         return out
 
     def transitive_closure(self) -> "BoolMatrix":
@@ -284,9 +299,9 @@ class BoolMatrix(_Matrix):
         one-pivot-at-a-time sweep.
         """
         self._check_square()
-        t = self._blocks.copy()
-        _table_sweep(t, t, t)
-        return BoolMatrix(self.rows, self.cols, t)
+        out = self.copy()
+        _table_sweep(out._store, out._store, out._store)
+        return out
 
     def reflexive_transitive_closure(self) -> "BoolMatrix":
         """Transitive closure joined with the identity (paths of length >= 0)."""

@@ -267,7 +267,7 @@ def parse_text(text: str):
         except ValueError as exc:  # the width
             late = MatrixFormatError(str(exc))
         else:
-            storage = m._blocks if cls is BoolMatrix else m._data
+            storage = m._store
     row, lineno = 0, 2
     for lines in itertools.chain([lines[1:]], slabs):
         data = lines[: rows - row]
@@ -298,13 +298,8 @@ def to_binary(m, file=None):
     """The binary form of ``m`` as bytes or, given a path or a binary file,
     written to it: the header, then the payload straight from the matrix's
     own buffer. A path is opened only once ``m`` is known to be a matrix."""
-    tag = _kind(m)[1]
-    if isinstance(m, BoolMatrix):
-        header = _HEADER.pack(MAGIC, tag, 0, m.rows, m.cols)
-        payload = m.blocks.astype("<u8", copy=False)
-    else:
-        header = _HEADER.pack(MAGIC, tag, m.width, m.rows, m.cols)
-        payload = m.data.astype(m.data.dtype.newbyteorder("<"), copy=False)
+    header = _HEADER.pack(MAGIC, _kind(m)[1], getattr(m, "width", 0), m.rows, m.cols)
+    payload = m._store.astype(m._store.dtype.newbyteorder("<"), copy=False)
     if file is None:
         return b"".join((header, payload))
     with _opened(file, "wb") as out:

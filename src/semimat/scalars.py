@@ -13,14 +13,20 @@ encodings are exchanged by complementing at width, which is what
 by saturating addition, :func:`dist_mul`.
 """
 
+from operator import index
+
 SAT_WIDTHS = (8, 16, 32)
 
 
 def sat_limit(width: int) -> int:
     """Saturation limit S for a lane width, i.e. ``2**width - 1``."""
-    if width not in SAT_WIDTHS:
+    try:
+        bits = index(width)
+    except TypeError:
+        bits = None  # a float such as 8.0 equals a width but is refused
+    if bits not in SAT_WIDTHS:
         raise ValueError(f"unsupported width {width}, expected one of {SAT_WIDTHS}")
-    return (1 << width) - 1
+    return (1 << bits) - 1
 
 
 def bool_add(a: int, b: int) -> int:

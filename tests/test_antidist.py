@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 import threading
@@ -198,6 +199,47 @@ def test_storage_numpy_cannot_address_is_refused(build, what):
     any allocation, with its rows, columns and lane width named."""
     with pytest.raises(ValueError, match=re.escape(what) + r" needs \d+ bytes, more than numpy can address"):
         build()
+
+
+@pytest.mark.parametrize("cls", (BoolMatrix, AntidistMatrix, DistMatrix))
+def test_every_type_holds_copies_and_compares_its_array_alike(cls):
+    """The storage rules the three types share: a backing array is checked,
+    a copy shares nothing, equality needs the type, shape and width, and an
+    entrywise operand of another type, shape or width is refused."""
+    lanes = cls is not BoolMatrix
+
+    def build(cols, width=8, store=None):
+        return cls(2, cols, width, store) if lanes else cls(2, cols, store)
+
+    def storage(m):
+        return m.data if lanes else m.blocks
+
+    m = build(65)
+    expected = storage(m)
+    for bad in (np.zeros((2, expected.shape[1] + 1), expected.dtype), np.zeros(expected.shape, np.int64)):
+        message = f"backing array {bad.shape} {bad.dtype} is not {expected.shape} {expected.dtype}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(65, store=bad)
+
+    twin = m.copy()
+    assert type(twin) is cls and twin == m
+    assert not np.shares_memory(storage(twin), storage(m))
+    twin.set(0, 0, 1)
+    assert twin != m and m.get(0, 0) != 1
+
+    if lanes:  # equal stored zeros at two widths; equal bytes of the other type
+        assert cls.from_lists([[0] * 65] * 2, 8) != cls.from_lists([[0] * 65] * 2, 16)
+        other = (AntidistMatrix if cls is DistMatrix else DistMatrix)(2, 65, 8, storage(m).copy())
+    else:  # the same two zero blocks a row at 65 and at 100 columns
+        assert build(65) != build(100)
+        other = AntidistMatrix.zeros(2, 65)
+    assert m != other and other != m
+    for op in (operator.or_, operator.and_, operator.xor):
+        with pytest.raises(TypeError, match=f"expected {cls.__name__}, got {type(other).__name__}"):
+            op(m, other)
+        for odd in [build(64)] + [build(65, 16)] * lanes:
+            with pytest.raises(ValueError, match=re.escape(f"{m!r} vs {odd!r}")):
+                op(m, odd)
 
 
 def test_from_lists_names_the_first_bad_entry():

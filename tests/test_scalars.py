@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +13,9 @@ def test_sat_limit():
     assert scalars.sat_limit(8) == 255
     assert scalars.sat_limit(16) == 65535
     assert scalars.sat_limit(32) == 2**32 - 1
-    with pytest.raises(ValueError):
-        scalars.sat_limit(12)
+    for bad in (12, 8.0):
+        with pytest.raises(ValueError, match=re.escape(f"unsupported width {bad}, expected one of (8, 16, 32)")):
+            scalars.sat_limit(bad)
 
 
 def test_bool_ops_table():
