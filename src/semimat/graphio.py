@@ -4,16 +4,18 @@ The format is one header line ``p <vertex_count>`` followed by one edge per
 line, ``u v`` or ``u v w``. ``#`` starts a comment, blank lines are ignored,
 and edges without a weight get weight 1.
 
-Every body becomes one (m, 3) int64 table. It is read by a single
-``np.loadtxt`` call, with its ranges checked by whole-column reductions. The
-line loop runs only when that fails or finds a fault, to name the line, or
-for the rare body it cannot take: 2- and 3-field lines mixed, non-ASCII text
-outside comments (such as a non-ASCII digit), ``1_0`` or a run of 19
-digits. Both readers end in the same table, so a parsed graph has one edge
-type. A field beyond int64 is refused, naming its line.
+Every body becomes one (m, 3) int64 table. The body is read one
+``matio._slabs`` slab of about 64 KiB of whole lines at a time, as text
+matrices are: each slab by one ``np.loadtxt`` call, with its ranges checked
+by whole-column reductions. The line loop reads a slab only when that fails
+or finds a fault, to name the line, or for the rare slab it cannot take: 2-
+and 3-field lines mixed, non-ASCII text outside comments (such as a
+non-ASCII digit), ``1_0`` or a run of 19 digits. Both readers end in the
+same table, so a parsed graph has one edge type. A field beyond int64 is
+refused, naming its line.
 """
 
-import re
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .antidist import AntidistMatrix, DistMatrix
 from .boolmat import BoolMatrix, _edge_table
-from .matio import _read_integers
+from .matio import _read_integers, _slabs
 
 
 class GraphParseError(ValueError):
@@ -81,50 +83,63 @@ def parse_edge_list(text: str) -> GraphSpec:
     integers that fit int64; whether a weight fits a lane width is checked
     when the matrix is built. Problems raise GraphParseError naming the line
     and the value. The edges are always an EdgeTable over an (m, 3) int64
-    array, whichever reader took the body, and ``weighted`` says whether any
-    line gave a weight.
+    array, joined from the tables of the body's slabs, whichever reader took
+    each, and ``weighted`` says whether any line gave a weight.
     """
-    lines = text.splitlines()
-    count, first = _header(lines)
-    # numpy 1.x loadtxt reads a field beyond int64 through a float and an
-    # undefined cast, so a body with a run of 19 digits takes the line loop
-    long = max(map(len, lines)) >= 19 and re.search("[0-9]{19}", text)
-    table = None if long else _read_integers(lines[first:], comments="#")
-    if table is None or table.shape[1] not in (2, 3) or table.min() < 0 or table[:, :2].max() >= count:
-        table = _parse_lines(lines, count, first)
-    weighted = table.shape[1] == 3
-    if not weighted:
-        table = np.column_stack((table, np.ones(len(table), np.int64)))
-    return GraphSpec(count, EdgeTable(table), weighted)
+    slabs = _slabs(text)
+    count, lineno, rest = _header(slabs)
+    tables, weighted = [np.empty((0, 3), np.int64)], False
+    for lines in itertools.chain([rest], slabs):
+        if lines:
+            # numpy 1.x loadtxt reads a field beyond int64 through a float and
+            # an undefined cast, so a slab with a run of 19 digits takes the
+            # line loop; the vertex count may be beyond int64, so the ends
+            # are compared with it as a Python int
+            long = b"0" * 19 in "\n".join(lines).encode(errors="replace").translate(_DIGITS)
+            table = None if long else _read_integers(lines, comments="#")
+            if table is None or table.shape[1] not in (2, 3) or table.min() < 0 or int(table[:, :2].max()) >= count:
+                table = _parse_lines(lines, count, lineno)
+            weighted |= table.shape[1] == 3
+            tables.append(np.pad(table, ((0, 0), (0, 3 - table.shape[1])), constant_values=1))
+        lineno += len(lines)
+    return GraphSpec(count, EdgeTable(np.concatenate(tables)), weighted)
 
 
-def _header(lines):
-    """The vertex count of the header and the index of the line after it."""
-    for index, raw in enumerate(lines):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        lineno = index + 1
-        if parts[0] != "p" or len(parts) != 2:
-            raise GraphParseError("expected header 'p <vertex_count>'", lineno)
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", lineno) from None
-        if count < 1:
-            raise GraphParseError(f"vertex count must be positive, got {count}", lineno)
-        return count, lineno
+# Each ASCII digit as "0": a run of 19 digits becomes 19 zeros.
+_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _header(slabs):
+    """The vertex count of the header, the number of the line after it and
+    the lines after it in its slab, read from the text's ``slabs``."""
+    start = 0
+    for lines in slabs:
+        for index, raw in enumerate(lines):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            lineno = start + index + 1
+            if parts[0] != "p" or len(parts) != 2:
+                raise GraphParseError("expected header 'p <vertex_count>'", lineno)
+            try:
+                count = int(parts[1])
+            except ValueError:
+                raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", lineno) from None
+            if count < 1:
+                raise GraphParseError(f"vertex count must be positive, got {count}", lineno)
+            return count, lineno + 1, lines[index + 1 :]
+        start += len(lines)
     raise GraphParseError("missing 'p <vertex_count>' header")
 
 
-def _parse_lines(lines, count, first):
-    """The edges of lines[first:], read one line at a time, as an int64
-    table: (m, 2) when no line has a weight, else (m, 3) with weight 1 for
-    the lines without one. The first faulty line raises the GraphParseError
-    that names it."""
+def _parse_lines(lines, count, lineno):
+    """The edges of the lines, numbered from ``lineno``, read one line at a
+    time, as an int64 table: (m, 2) when no line has a weight, else (m, 3)
+    with weight 1 for the lines without one. The first faulty line raises
+    the GraphParseError that names it."""
     edges = []
     cols = 2
-    for lineno, raw in enumerate(lines[first:], start=first + 1):
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

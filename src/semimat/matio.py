@@ -161,26 +161,17 @@ def _integer_text(lines, comments):
     """Whether the lines, outside comments, hold at least one integer and
     no byte but digits, signs and whitespace: numpy takes some non-ASCII
     letters for digits, numpy 1.x reads "1.5" as 1 and only warns, and
-    loadtxt warns on input without data. The lines are joined about 64 KiB
-    at a time, small enough to leave the heap as loadtxt finds it: each
-    join's line count comes from the previous join's characters per line
-    and at most doubles, so no one line, a blank one say, sizes the joins."""
-    found = False
-    start, count = 0, 1
-    while start < len(lines):
-        text = "\n".join(lines[start : start + count])
-        start += count
-        count = min(2 * count, max(1, (count << 16) // (len(text) + 1)))
-        if comments is not None and comments in text:
-            text = re.sub(f"{re.escape(comments)}.*", "", text)
-        try:
-            raw = text.encode("ascii")
-        except UnicodeEncodeError:
-            return False
-        if raw.translate(None, _INTEGER_BYTES):
-            return False
-        found = found or bool(raw.strip(_SPACES))
-    return found
+    loadtxt warns on input without data. The lines are joined once, so a
+    caller passes at most one slab: about 64 KiB, small enough to leave the
+    heap as loadtxt finds it."""
+    text = "\n".join(lines)
+    if comments is not None and comments in text:
+        text = re.sub(f"{re.escape(comments)}.*", "", text)
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    return not raw.translate(None, _INTEGER_BYTES) and bool(raw.strip(_SPACES))
 
 
 def _bad_line(lines, cols, lineno):

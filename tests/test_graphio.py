@@ -1,3 +1,4 @@
+import functools
 import warnings
 from unittest import mock
 
@@ -5,11 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimat import graphio
+from semimat import graphio, matio
 from semimat.antidist import AntidistMatrix, DistMatrix
 from semimat.boolmat import BoolMatrix, _edge_table
 from semimat.graphio import EdgeTable, GraphParseError, GraphSpec, parse_edge_list
 from semimat.scalars import sat_limit
+
+
+def over_slabs(test):
+    """Run ``test`` with the body read in slabs of the module's size, then
+    of 24 characters and of 1, which cuts the text after every line."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for size in (matio._SLAB_CHARS, 24, 1):
+            with mock.patch.object(matio, "_SLAB_CHARS", size):
+                test(*args, **kwargs)
+
+    return run
 
 
 def test_parse_weighted():
@@ -184,6 +198,7 @@ def test_non_ascii_comments_keep_the_table_reader():
 
 
 @pytest.mark.parametrize("text", ["p 3\n", "p 3", "# g\np 3 # three\n\n  # none\n\t\n"])
+@over_slabs
 def test_header_only_edge_list_has_no_edges(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -211,17 +226,21 @@ def test_line_loop_reads_what_loadtxt_cannot():
         ("p 3\n0 1\n1 2\n", [(0, 1, 1), (1, 2, 1)], False),
         ("p 3\r\n0 1 2\r\n1 2\r\n", [(0, 1, 2), (1, 2, 1)], True),
         (f"p 2\n0 1 {2**63 - 1}\n", [(0, 1, 2**63 - 1)], True),
+        # only body fields go through the 19-digit rule, so the table reader
+        # compares the ends with a vertex count beyond int64
+        (f"p {2**70}\n0 1\n", [(0, 1, 1)], False),
     ],
-    ids=["2 fields", "CRLF", "int64 max"],
+    ids=["2 fields", "CRLF", "int64 max", "count beyond int64"],
 )
+@over_slabs
 def test_every_body_gives_one_int64_table(text, edges, weighted):
     spec = parse_edge_list(text)
     assert isinstance(spec.edges, EdgeTable)
     assert spec.edges.array.dtype == np.int64 and spec.edges.array.shape == (len(edges), 3)
     assert spec.edges == edges and spec.weighted is weighted
     assert spec == _parse_by_lines(text)
-    lines = text.splitlines()
-    table = graphio._parse_lines(lines, *graphio._header(lines))
+    count, lineno, lines = graphio._header(iter([text.splitlines()]))
+    table = graphio._parse_lines(lines, count, lineno)
     assert table.dtype == np.int64 and table.shape == (len(edges), 3 if weighted else 2)
 
 
@@ -241,6 +260,43 @@ def test_fields_beyond_int64_are_refused_by_line(text, lineno, value):
     with reader, pytest.raises(GraphParseError, match=f"line {lineno}: value {value} does not fit int64") as err:
         parse_edge_list(text)
     assert err.value.lineno == lineno
+
+
+# More than one slab of the module's size of comments, then the header.
+_LEAD = "# a comment line above the header\n" * 2000
+
+
+@over_slabs
+def test_header_after_slabs_of_comments():
+    text = _LEAD + "\n  # p 9\np 3 # three\n0 1\n1 2 5\n"
+    assert len(_LEAD) > matio._SLAB_CHARS
+    assert parse_edge_list(text) == GraphSpec(3, [(0, 1, 1), (1, 2, 5)], True) == _parse_by_lines(text)
+    lineno = _LEAD.count("\n") + 3
+    with pytest.raises(GraphParseError, match=f"^line {lineno}: vertex count 'x' is not an integer$"):
+        parse_edge_list(_LEAD + "\n\np x\n0 1\n")
+    with pytest.raises(GraphParseError, match=f"^line {lineno + 2}: target vertex 3 out of range"):
+        parse_edge_list(_LEAD + "\n\np 3\n0 1\n0 3\n")
+    with pytest.raises(GraphParseError, match="^missing 'p <vertex_count>' header$"):
+        parse_edge_list(_LEAD)
+
+
+@over_slabs
+def test_first_faulty_line_in_a_later_slab_is_named():
+    good = "".join(f"{i % 4096} {(i * 7) % 4096} {i % 10}\n" for i in range(6000))
+    assert len(good) > matio._SLAB_CHARS
+    text = "p 4096\n" + good + "1 2\n4 4096 1\n5 x\n" + good
+    with pytest.raises(GraphParseError, match="^line 6003: target vertex 4096 out of range") as err:
+        parse_edge_list(text)
+    assert err.value.lineno == 6003
+    assert _outcome(parse_edge_list, text) == _outcome(_parse_by_lines, text)
+    # slabs of 3-field lines, then one with 2- and 3-field lines, then
+    # slabs of 2-field lines only
+    ones = "".join(f"{i % 4096} {(i * 5) % 4096}\n" for i in range(8000))
+    assert len(ones) > matio._SLAB_CHARS
+    text = "p 4096\n" + good + ones
+    spec = parse_edge_list(text)
+    assert spec == _parse_by_lines(text) and spec.weighted
+    assert spec.edges.array.shape == (14000, 3) and (spec.edges.array[6000:, 2] == 1).all()
 
 
 def test_edge_table_slices_like_its_list():
@@ -303,6 +359,7 @@ def edge_list_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(edge_list_texts())
+@over_slabs
 def test_array_parser_agrees_with_the_line_loop(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimat import matio
+from semimat import graphio, matio
 from semimat.antidist import AntidistMatrix, DistMatrix
 from semimat.boolmat import BoolMatrix, _Matrix
 from semimat.matio import MatrixFormatError
@@ -151,34 +151,32 @@ def test_read_integers_checks_before_loadtxt(lines, comments, want):
     assert (got if got is None else got.tolist()) == want
 
 
-class JoinLog(list):
-    """Lines that record the length of each slice taken of them, joined."""
-
-    def __init__(self, lines):
-        super().__init__(lines)
-        self.joins = []
-
-    def __getitem__(self, key):
-        got = super().__getitem__(key)
-        if isinstance(key, slice):
-            self.joins.append(len("\n".join(got)))
-        return got
-
-
 @pytest.mark.parametrize("shape", ["blank first line", "lane rows"])
 def test_integer_check_joins_about_64_kib_at_a_time(shape):
-    """Each join of the integer check holds about 64 KiB, at most 65 KiB
-    plus one line, whatever the first line's length: a blank line above an
-    edge list does not size the joins, and rows of thousands of characters
-    are joined a few at a time."""
+    """The parsers hand the integer check a slab at a time, which it joins
+    once: each join holds at most 65 KiB plus one line, whatever the first
+    line's length. A blank line above an edge list's body does not size the
+    joins, and lane rows of thousands of characters are joined a few at a
+    time."""
     rng = random.Random(shape)
     if shape == "blank first line":
-        lines = [""] + [f"{rng.randrange(2048)} {rng.randrange(2048)} {rng.randint(1, 9)}" for _ in range(20000)]
+        lines = ["p 2048", ""] + [f"{rng.randrange(2048)} {rng.randrange(2048)} {rng.randint(1, 9)}" for _ in range(20000)]
+        parse = graphio.parse_edge_list
     else:
-        lines = [" ".join(str(rng.randrange(256)) for _ in range(1024)) for _ in range(64)]
-    log = JoinLog(lines)
-    assert matio._read_integers(log, "#").tolist() == matio._read_integers(lines, "#").tolist()
-    assert log.joins and max(log.joins) <= 65 * 1024 + max(map(len, lines))
+        lines = ["antidist 8 64 1024"] + [" ".join(str(rng.randrange(256)) for _ in range(1024)) for _ in range(64)]
+        parse = matio.parse_text
+    text = "\n".join(lines) + "\n"
+    joins = []
+
+    def integer_text(lines, comments):
+        joins.append(len("\n".join(lines)))
+        return check(lines, comments)
+
+    check = matio._integer_text
+    with mock.patch.object(matio, "_integer_text", integer_text):
+        got = parse(text)
+    assert got == parse(text)
+    assert len(joins) > 1 and max(joins) <= 65 * 1024 + max(map(len, lines))
 
 
 def test_parsers_run_in_threads_at_once():
