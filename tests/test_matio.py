@@ -166,16 +166,10 @@ def test_integer_check_joins_about_64_kib_at_a_time(shape):
         lines = ["antidist 8 64 1024"] + [" ".join(str(rng.randrange(256)) for _ in range(1024)) for _ in range(64)]
         parse = matio.parse_text
     text = "\n".join(lines) + "\n"
-    joins = []
-
-    def integer_text(lines, comments):
-        joins.append(len("\n".join(lines)))
-        return check(lines, comments)
-
-    check = matio._integer_text
-    with mock.patch.object(matio, "_integer_text", integer_text):
+    with mock.patch.object(matio, "_integer_text", wraps=matio._integer_text) as check:
         got = parse(text)
     assert got == parse(text)
+    joins = [len("\n".join(call.args[0])) for call in check.call_args_list]
     assert len(joins) > 1 and max(joins) <= 65 * 1024 + max(map(len, lines))
 
 
