@@ -86,10 +86,9 @@ def parse_edge_list(text: str) -> GraphSpec:
     array, joined from the tables of the body's slabs, whichever reader took
     each, and ``weighted`` says whether any line gave a weight.
     """
-    slabs = _slabs(text)
-    count, lineno, rest = _header(slabs)
+    count, body = _header(_slabs(text))
     tables, weighted = [np.empty((0, 3), np.int64)], False
-    for lines in itertools.chain([rest], slabs):
+    for lineno, lines in body:
         if lines:
             # numpy 1.x loadtxt reads a field beyond int64 through a float and
             # an undefined cast, so a slab with a run of 19 digits takes the
@@ -100,8 +99,7 @@ def parse_edge_list(text: str) -> GraphSpec:
             if table is None or table.shape[1] not in (2, 3) or table.min() < 0 or int(table[:, :2].max()) >= count:
                 table = _parse_lines(lines, count, lineno)
             weighted |= table.shape[1] == 3
-            tables.append(np.pad(table, ((0, 0), (0, 3 - table.shape[1])), constant_values=1))
-        lineno += len(lines)
+            tables.append(table if table.shape[1] == 3 else np.column_stack((table, np.ones(len(table), np.int64))))
     return GraphSpec(count, EdgeTable(np.concatenate(tables)), weighted)
 
 
@@ -110,15 +108,13 @@ _DIGITS = bytes.maketrans(b"123456789", b"000000000")
 
 
 def _header(slabs):
-    """The vertex count of the header, the number of the line after it and
-    the lines after it in its slab, read from the text's ``slabs``."""
-    start = 0
-    for lines in slabs:
-        for index, raw in enumerate(lines):
+    """The vertex count of the header found in the text's ``slabs``, and the
+    slabs of the body after it, each with the number of its first line."""
+    for first, lines in slabs:
+        for lineno, raw in enumerate(lines, first):
             parts = raw.split("#", 1)[0].split()
             if not parts:
                 continue
-            lineno = start + index + 1
             if parts[0] != "p" or len(parts) != 2:
                 raise GraphParseError("expected header 'p <vertex_count>'", lineno)
             try:
@@ -127,8 +123,7 @@ def _header(slabs):
                 raise GraphParseError(f"vertex count {parts[1]!r} is not an integer", lineno) from None
             if count < 1:
                 raise GraphParseError(f"vertex count must be positive, got {count}", lineno)
-            return count, lineno + 1, lines[index + 1 :]
-        start += len(lines)
+            return count, itertools.chain([(lineno + 1, lines[lineno - first + 1 :])], slabs)
     raise GraphParseError("missing 'p <vertex_count>' header")
 
 

@@ -119,15 +119,16 @@ def _decimal_rows(entries):
 
 def _slabs(text):
     """The lines of ``text``, as ``text.splitlines()`` gives them, in lists
-    of about _SLAB_CHARS characters: each list's text ends at the first
-    newline that many characters past its start, so a cut never splits a
-    line or the two characters of "\\r\\n"."""
-    start = 0
+    of about _SLAB_CHARS characters, each with the number of its first line:
+    each list's text ends at the first newline that many characters past its
+    start, so a cut never splits a line or the two characters of "\\r\\n"."""
+    start, lineno = 0, 1
     while start < len(text):
         stop = text.find("\n", start + _SLAB_CHARS)
         stop = len(text) if stop < 0 else stop + 1
-        yield text[start:stop].splitlines()
-        start = stop
+        lines = text[start:stop].splitlines()
+        yield lineno, lines
+        start, lineno = stop, lineno + len(lines)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -211,8 +212,8 @@ def _line_count_fault(text, rows):
     """The error for text with fewer than ``rows`` lines below its header,
     or with a line that is not blank below them; None if it has neither."""
     lineno = 0
-    for lines in _slabs(text):
-        for lineno, line in enumerate(lines, start=lineno + 1):
+    for first, lines in _slabs(text):
+        for lineno, line in enumerate(lines, first):
             if lineno > rows + 1 and line.strip():
                 return MatrixFormatError(f"line {lineno}: the header declares {rows} rows, found more")
     if lineno - 1 < rows:
@@ -221,7 +222,7 @@ def _line_count_fault(text, rows):
 
 def parse_text(text: str):
     slabs = _slabs(text)
-    lines = next(slabs, [])
+    _, lines = next(slabs, (1, []))
     if not lines or not lines[0].split():
         raise MatrixFormatError("empty input, expected a matrix header line")
     header = lines[0]
@@ -259,8 +260,8 @@ def parse_text(text: str):
             late = MatrixFormatError(str(exc))
         else:
             storage = m._store
-    row, lineno = 0, 2
-    for lines in itertools.chain([lines[1:]], slabs):
+    row = 0
+    for lineno, lines in itertools.chain([(2, lines[1:])], slabs):
         data = lines[: rows - row]
         if data:
             try:
@@ -275,7 +276,6 @@ def parse_text(text: str):
             row += len(data)
         if any(line.strip() for line in lines[len(data) :]):
             raise _line_count_fault(text, rows)
-        lineno += len(lines)
     if row < rows:
         raise _line_count_fault(text, rows)
     if late is not None:

@@ -239,7 +239,8 @@ def test_every_body_gives_one_int64_table(text, edges, weighted):
     assert spec.edges.array.dtype == np.int64 and spec.edges.array.shape == (len(edges), 3)
     assert spec.edges == edges and spec.weighted is weighted
     assert spec == _parse_by_lines(text)
-    count, lineno, lines = graphio._header(iter([text.splitlines()]))
+    count, body = graphio._header(iter([(1, text.splitlines())]))
+    [(lineno, lines)] = body
     table = graphio._parse_lines(lines, count, lineno)
     assert table.dtype == np.int64 and table.shape == (len(edges), 3 if weighted else 2)
 
