@@ -38,6 +38,7 @@ from . import kernels
 from .boolmat import (
     BoolMatrix,
     _block_count,
+    _components,
     _edge_table,
     _Matrix,
     _pack_bits,
@@ -100,15 +101,10 @@ class _LaneMatrix(_Matrix):
     # -- entrywise algebra -------------------------------------------------
 
     def _lanewise(self, other, np_op, py_op):
-        """The entrywise op on this call's path: ``np_op`` on the arrays, or
-        ``py_op`` on their flat lists of Python ints."""
-        if kernels.use_vector():
-            return self._entrywise(other, np_op)
-
-        def scalar_op(a, b):
-            return np.array(py_op(a.reshape(-1).tolist(), b.reshape(-1).tolist()), a.dtype).reshape(a.shape)
-
-        return self._entrywise(other, scalar_op)
+        """The entrywise op on this call's path, read before the operands are
+        checked: ``np_op`` on the arrays, or ``py_op`` on their flat lists of
+        Python ints."""
+        return self._entrywise(other, kernels._path_op(np_op, py_op))
 
     def __and__(self, other):
         """Lanewise minimum."""
@@ -336,8 +332,9 @@ class DistMatrix(_LaneMatrix):
 #
 # _sweep_tile is the one place where a step's branch is chosen:
 #
-# - a sparse step gathers the hit rows, combines them with their candidates
-#   and scatters them back;
+# - a sparse step gathers the hit rows by fancy indexing, which reads only
+#   those rows of a tile, contiguous or a strided window alike, combines them
+#   with their candidates and scatters them back;
 # - a dense step with a table takes one candidate row per row from the table
 #   by rank and one maximum;
 # - any other dense step broadcasts: one candidate row per row and the
@@ -360,9 +357,10 @@ class DistMatrix(_LaneMatrix):
 # support's structure bounds the saturated closure's. The plan has three
 # parts:
 #
-# - Components (_components): one path-based depth-first search along the
-#   packed rows of the support (Purdom 1970, Gabow 2000) closes the strongly
-#   connected components one by one, sinks first, with no transposed copy.
+# - Components (boolmat._components): the support is packed as the rows of a
+#   Boolean matrix, and one path-based depth-first search along them (Purdom
+#   1970, Gabow 2000) closes the strongly connected components one by one,
+#   sinks first, with no transposed copy.
 #   With one component every window would be full, and the blocked sweep
 #   above runs on the matrix as it is.
 # - Order: otherwise the components follow each other sinks first, each
@@ -540,17 +538,12 @@ def _broadcast_step(tile, column, row_k, limit, cand):
 
 
 def _gather_step(tile, hit, entries, row_k, limit, buf):
-    size = hit.size  # fewer than half the tile's rows, so both halves fit
-    cand, rows = buf[:size], buf[size : 2 * size]
+    cand = buf[: hit.size]
     gap = (limit - entries)[:, None]
     np.maximum(row_k, gap, out=cand)
     cand -= gap
-    if tile.flags.c_contiguous:
-        tile.take(hit, axis=0, out=rows, mode="clip")  # indices are in range; no out buffering
-    else:
-        rows[...] = tile[hit]  # take would first copy the whole strided tile
-    np.maximum(rows, cand, out=rows)
-    tile[hit] = rows
+    np.maximum(tile[hit], cand, out=cand)  # fancy indexing reads a strided tile's rows only
+    tile[hit] = cand
 
 
 def _maxplus_sweep_scalar(out, left, right, limit):
@@ -589,54 +582,6 @@ def _maxplus_close(data, limit):
         _maxplus_sweep(data, data, data, limit)
     finally:
         _permute(data, np.argsort(order))
-
-
-def _components(support):
-    """The strongly connected components of the square Boolean matrix held in
-    the packed rows ``support``, sinks first: each vertex's component index,
-    numbered so that no edge runs from a component to a later one.
-
-    One path-based depth-first search (Purdom 1970, Gabow 2000). The open
-    vertices, reached but not yet in a component, sit on a stack in the
-    order they were reached, and a stack of boundaries marks where each
-    candidate component starts on it, each with the set of the open vertices
-    below it. A vertex, once reached, pushes its own boundary and then pops
-    the top boundary while it has an edge to an open vertex below it: the
-    candidates it closes a cycle through are one component. (Testing before
-    its own boundary is pushed would leave the vertex out of that cycle.) A
-    vertex whose search ends with its own boundary on top closes the
-    component from there up, so components close sinks first. Sets of
-    vertices are the bits of Python ints, so a vertex's next unvisited
-    successor is the lowest bit of its row ANDed with them.
-    """
-    n = support.shape[0]
-    bits = memoryview(support.astype("<u8", copy=False)).cast("B")
-    size = support.shape[1] * 8
-    component = np.empty(n, np.intp)
-    unvisited, opened, index = (1 << n) - 1, 0, 0
-    path = []  # the vertices whose search runs, each with its row
-    stack, bounds = [], []  # open vertices; boundaries, each its start on stack and the open set below it
-    while path or unvisited:
-        free = path[-1][1] & unvisited if path else unvisited  # with no search running, the next root
-        if free:  # reach the lowest vertex of free
-            low = free & -free
-            v = low.bit_length() - 1
-            unvisited ^= low
-            row = int.from_bytes(bits[v * size : (v + 1) * size], "little")
-            bounds.append((len(stack), opened))
-            while row & bounds[-1][1]:  # an edge back under the top boundary
-                bounds.pop()
-            stack.append(v)
-            opened |= low
-            path.append((v, row))
-        else:  # the search from path[-1] ends
-            v = path.pop()[0]
-            if stack[bounds[-1][0]] == v:
-                start, opened = bounds.pop()
-                component[stack[start:]] = index
-                index += 1
-                del stack[start:]
-    return component
 
 
 def _permute(data, order):

@@ -3,6 +3,10 @@
 Each row is stored as 64-bit blocks: bit j of row i lives in block j // 64
 at bit position j % 64 (least significant bit first). Bits past the column
 count are padding and stay zero after every operation.
+
+Besides the matrix type, the module holds the packing helpers and the
+strongly connected component search over packed rows (``_components``),
+which plans the saturated closures of :mod:`semimat.antidist`.
 """
 
 import reprlib
@@ -30,6 +34,54 @@ def _unpack_bits(blocks, cols):
     """The (rows, cols) uint8 array of 0/1 entries held in ``blocks``."""
     raw = blocks.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=cols, bitorder="little")
+
+
+def _components(support):
+    """The strongly connected components of the square Boolean matrix held in
+    the blocks ``support``, sinks first: each vertex's component index,
+    numbered so that no edge runs from a component to a later one.
+
+    One path-based depth-first search (Purdom 1970, Gabow 2000). The open
+    vertices, reached but not yet in a component, sit on a stack in the
+    order they were reached, and a stack of boundaries marks where each
+    candidate component starts on it, each with the set of the open vertices
+    below it. A vertex, once reached, pushes its own boundary and then pops
+    the top boundary while it has an edge to an open vertex below it: the
+    candidates it closes a cycle through are one component. (Testing before
+    its own boundary is pushed would leave the vertex out of that cycle.) A
+    vertex whose search ends with its own boundary on top closes the
+    component from there up, so components close sinks first. Sets of
+    vertices are the bits of Python ints, so a vertex's next unvisited
+    successor is the lowest bit of its row ANDed with them.
+    """
+    n = support.shape[0]
+    bits = memoryview(support.astype("<u8", copy=False)).cast("B")
+    size = support.shape[1] * 8
+    component = np.empty(n, np.intp)
+    unvisited, opened, closed = (1 << n) - 1, 0, 0  # closed: components so far
+    path = []  # the vertices whose search runs, each with its row
+    stack, bounds = [], []  # open vertices; boundaries, each its start on stack and the open set below it
+    while path or unvisited:
+        free = path[-1][1] & unvisited if path else unvisited  # with no search running, the next root
+        if free:  # reach the lowest vertex of free
+            low = free & -free
+            v = low.bit_length() - 1
+            unvisited ^= low
+            row = int.from_bytes(bits[v * size : (v + 1) * size], "little")
+            bounds.append((len(stack), opened))
+            while row & bounds[-1][1]:  # an edge back under the top boundary
+                bounds.pop()
+            stack.append(v)
+            opened |= low
+            path.append((v, row))
+        else:  # the search from path[-1] ends
+            v = path.pop()[0]
+            if stack[bounds[-1][0]] == v:
+                start, opened = bounds.pop()
+                component[stack[start:]] = closed
+                closed += 1
+                del stack[start:]
+    return component
 
 
 def _edge_table(dim: int, edges):

@@ -15,8 +15,11 @@ instead, and :func:`forced_scalar` / :func:`forced_vector` pin the choice
 for a code region. The pin lives in a :class:`contextvars.ContextVar`, so it
 holds for the thread (or asyncio task) that set it and never flips the path
 of another. Each operation reads :func:`use_vector` once and runs wholly on
-the path it got. The test suite and the benchmark rely on both paths
-producing bit-identical results.
+the path it got. The two-array ops take their path's form from one
+helper, ``_path_op``: the ``np_*`` form on the arrays, or the ``py_*`` form
+on their flat lists of Python ints. The lane ops here and the matrix types'
+entrywise algebra both go through it. The test suite and the benchmark rely
+on both paths producing bit-identical results.
 
 numpy has no saturating integer ufuncs, so the vector path uses the
 branch-free rewrites ``max(a, b) - b`` for saturating subtraction and
@@ -124,18 +127,31 @@ def as_lanes(values, width: int, noun: str = "entry"):
     return lanes
 
 
+def _path_op(np_form, py_form):
+    """The two-array lane op of the path :func:`use_vector` gives now:
+    ``np_form`` itself, or ``py_form`` on the operands' flat lists of Python
+    ints, rebuilt in the first operand's shape and dtype."""
+    if use_vector():
+        return np_form
+
+    def scalar_form(a, b):
+        return np.array(py_form(a.reshape(-1).tolist(), b.reshape(-1).tolist()), a.dtype).reshape(a.shape)
+
+    return scalar_form
+
+
 def _lanewise(a, b, width, np_form, py_form):
     """A lane op on one path, read once: both operands checked as flat lanes
-    of equal length, then ``np_form`` on their arrays (vector path) or
-    ``py_form`` on their lists of Python ints (scalar path), as a list."""
-    vector = use_vector()
+    of equal length, then the path's op (:func:`_path_op`) on them, as a
+    list."""
+    op = _path_op(np_form, py_form)
     x, y = as_lanes(a, width), as_lanes(b, width)
     block = lane_count(width)
     if x.ndim != 1 or y.ndim != 1 or x.size % block or y.size % block:
         raise ValueError(f"expected a flat sequence of a multiple of {block} lanes")
     if x.size != y.size:
         raise ValueError(f"lane count mismatch: {x.size} vs {y.size}")
-    return np_form(x, y).tolist() if vector else py_form(x.tolist(), y.tolist())
+    return op(x, y).tolist()
 
 
 def clonenot(value: int, width: int = 8, count: int | None = None) -> list[int]:
