@@ -386,6 +386,22 @@ def test_graph_file_that_is_not_utf8_is_a_graph_parse_error(tmp_path, capsys):
         cli._read_graph(src)
 
 
+def test_graph_utf8_fault_comes_before_a_header_fault(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_bytes(b"q 2\n0 1\xff\n")
+    code, out, err = run(capsys, "closure", str(src), "--bool")
+    assert (code, out) == (1, "")
+    assert err == f"semimat: error: {src}: not utf-8 text (invalid start byte at offset 7)\n"
+
+
+def test_graph_file_with_non_ascii_comments(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_text("# caf\u00e9 \u2014 a cycle\np 3 # Zo\u00eb\n0 1\n1 2\n2 0 # \u00fc\n", encoding="utf-8")
+    code, out, _ = run(capsys, "closure", str(src), "--bool")
+    assert code == 0
+    assert out == "bool 3 3\n111\n111\n111\n"
+
+
 @pytest.mark.parametrize("text", ["bool 0 3\n", "bool 1 2\n01\n11\n", "antidist 8 100000 100000\n0 1\n"])
 def test_malformed_matrix_file_is_an_error(tmp_path, capsys, text):
     src = tmp_path / "m.txt"

@@ -300,6 +300,28 @@ def test_first_faulty_line_in_a_later_slab_is_named():
     assert spec.edges.array.shape == (14000, 3) and (spec.edges.array[6000:, 2] == 1).all()
 
 
+@over_slabs
+def test_bytes_parse_as_their_text():
+    """The UTF-8 bytes of an edge list parse to the same graph, or fail on
+    the same line, as its text, whichever slabs cut it."""
+    good = "".join(f"{i % 4096} {(i * 7) % 4096} {i % 10}\n" for i in range(6000))
+    ones = "".join(f"{i % 4096} {(i * 5) % 4096}\n" for i in range(8000))
+    texts = [
+        _LEAD + "\n  # p 9\np 3 # three\n0 1\n1 2 5\n",
+        _LEAD + "\n\np x\n0 1\n",
+        _LEAD + "\n\np 3\n0 1\n0 3\n",
+        _LEAD,
+        "p 4096\n" + good + "1 2\n4 4096 1\n5 x\n" + good,
+        "p 4096\r\n# caf\u00e9\r\n" + good + ones,
+        "# Zo\u00eb \u2014 \u0663\np 3 # caf\u00e9\n0 1 2 # \u00fc\n1 2 5\n",
+        "p 12\n0 1\n1 2 4\n1_0 \u0663 2\n",
+        "p 3\n0 1\u20281 2 # U+2028 ends a line\n",
+        "p 3\r0 1\r1 2 4\r",
+    ]
+    for text in texts:
+        assert _outcome(parse_edge_list, text.encode()) == _outcome(parse_edge_list, text)
+
+
 def test_edge_table_slices_like_its_list():
     rows = [(0, 1, 3), (1, 2, 4), (3, 0, 0), (1, 2, 4), (2, 2, 1)]
     edges = parse_edge_list("p 4\n" + "".join("%d %d %d\n" % row for row in rows)).edges
@@ -365,3 +387,10 @@ def test_array_parser_agrees_with_the_line_loop(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _outcome(parse_edge_list, text) == _outcome(_parse_by_lines, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_list_texts())
+@over_slabs
+def test_bytes_parse_as_their_text_when_drawn(text):
+    assert _outcome(parse_edge_list, text.encode()) == _outcome(parse_edge_list, text)

@@ -434,6 +434,26 @@ def test_text_io_costs_the_storage_plus_one_slab(kind, tmp_path):
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("kind", ["lanes", "bool"])
+def test_load_costs_the_file_plus_the_storage(kind, tmp_path):
+    """Loading an n=1024 w8 lane text or an n=2048 Boolean text from a file
+    (about 4 MB each) peaks under the file's size plus the matrix's storage
+    plus 1 MiB: the file's bytes are decoded one slab at a time, so no
+    decoded copy of the whole text is held beside them."""
+    rng = np.random.default_rng(kind == "bool")
+    if kind == "lanes":
+        m = AntidistMatrix.from_lists(rng.integers(0, 256, (1024, 1024), dtype=np.uint8), 8)
+        storage = m.data.nbytes
+    else:
+        m = BoolMatrix.from_lists(rng.integers(0, 2, (2048, 2048), dtype=np.uint8))
+        storage = m.blocks.nbytes
+    path = tmp_path / "m.txt"
+    matio.save(m, path)
+    loaded = []
+    assert traced_peak(lambda: loaded.append(matio.load(path))) < path.stat().st_size + storage + (1 << 20)
+    assert loaded == [m]
+
+
 def cut_texts():
     """Texts whose lines end in "\\r\\n", with blank lines inside and below
     the rows, each good or with one fault."""
@@ -462,6 +482,60 @@ def test_every_slab_cut_reads_the_same(text, monkeypatch):
     for size in range(1, len(text) + 1):
         monkeypatch.setattr(matio, "_SLAB_CHARS", size)
         assert outcome() == want, size
+
+
+def non_ascii_texts():
+    """Texts with UTF-8 characters of two and three bytes: an ideographic
+    space a Boolean row may carry, a lane entry that is no integer, and the
+    line breaks U+0085 and U+2028, which end a line as "\\n" does."""
+    yield "bool 2 3\n\u3000101\n010\u3000\n"
+    yield "bool 2 3\n\u3000\u3000\u3000\n"
+    yield "bool 2 2\n01\x8510\n"
+    yield "antidist 8 2 2\n1 2\n3 \u00e9\n"
+    yield "dist 8 2 2\n1 2\u20283 4\n"
+    yield "dist 8 1 2\n1 2\n\u2028\u00e9\n"
+
+
+@pytest.mark.parametrize("text", list(cut_texts()) + list(non_ascii_texts()))
+def test_bytes_read_as_their_text_at_every_slab_cut(text, monkeypatch):
+    """The UTF-8 bytes of a text read the same matrix, or report the same
+    fault, as the text itself, at every slab size from one byte to the
+    whole."""
+
+    def outcome(text):
+        try:
+            return matio.parse_text(text)
+        except MatrixFormatError as exc:
+            return str(exc)
+
+    want = outcome(text)
+    data = text.encode()
+    for size in range(1, len(data) + 1):
+        monkeypatch.setattr(matio, "_SLAB_CHARS", size)
+        assert outcome(data) == want, size
+
+
+def test_load_refuses_what_is_neither_binary_nor_utf8(tmp_path):
+    """A file that is neither is refused naming its path, even below a
+    header that is itself at fault: the UTF-8 check comes first."""
+    path = tmp_path / "m.txt"
+    for data in (b"bool 1 2\n0\xff\n", b"matrix 1 2\n0\xff\n", b"\xc3("):
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError) as err:
+            matio.load(path)
+        assert str(err.value) == f"{path}: neither a binary matrix nor utf-8 text"
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+
+def test_load_reads_valid_utf8_beyond_ascii(tmp_path):
+    """A valid non-ASCII character passes the UTF-8 check, and the parser
+    then names the line it spoils."""
+    path = tmp_path / "m.txt"
+    path.write_text("antidist 8 2 2\n1 \u00e9\n3 4\n", encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match="^line 2: non-integer entry$"):
+        matio.load(path)
+    path.write_text("bool 2 3\n\u3000101\n010\n", encoding="utf-8")
+    assert matio.load(path) == BoolMatrix.from_lists([[1, 0, 1], [0, 1, 0]])
 
 
 @pytest.mark.parametrize(
@@ -503,3 +577,25 @@ def test_faults_do_not_depend_on_the_slab(header, body, size):
     want = outcome()
     with mock.patch.object(matio, "_SLAB_CHARS", size):
         assert outcome() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["bool 2 3", "antidist 8 2 3", "dist 16 3 2", "antidist 9 2 2"]),
+    st.text(alphabet="01 2\n\r\t-x\u3000\u00e9\u2028\x85", max_size=30),
+    st.integers(1, 12),
+)
+def test_bytes_beyond_ascii_read_as_their_text(header, body, size):
+    """Small texts with characters of two and three UTF-8 bytes, among them
+    line breaks and whitespace beyond ASCII, read or fail as their bytes do,
+    at any slab size."""
+
+    def outcome(text):
+        try:
+            return matio.parse_text(text)
+        except MatrixFormatError as exc:
+            return str(exc)
+
+    text = f"{header}\n{body}"
+    with mock.patch.object(matio, "_SLAB_CHARS", size):
+        assert outcome(text.encode()) == outcome(text)
