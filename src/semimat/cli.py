@@ -102,13 +102,15 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def _read_graph(path) -> str:
-    """The text of an edge-list file; a file that is not UTF-8 is a
-    GraphParseError naming it."""
+def _read_graph(path) -> bytes:
+    """The bytes of an edge-list file, checked to be UTF-8 text; a file
+    that is not is a GraphParseError naming it."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        matio._check_utf8(data)
     except UnicodeDecodeError as exc:
         raise graphio.GraphParseError(f"{path}: not utf-8 text ({exc.reason} at offset {exc.start})") from exc
+    return data
 
 
 @contextmanager

@@ -76,7 +76,7 @@ class GraphSpec:
     weighted: bool = False
 
 
-def parse_edge_list(text: str) -> GraphSpec:
+def parse_edge_list(text: str | bytes) -> GraphSpec:
     """Parse edge-list text into a validated GraphSpec.
 
     Vertex ids must lie in [0, vertex_count) and weights must be nonnegative
@@ -84,7 +84,8 @@ def parse_edge_list(text: str) -> GraphSpec:
     when the matrix is built. Problems raise GraphParseError naming the line
     and the value. The edges are always an EdgeTable over an (m, 3) int64
     array, joined from the tables of the body's slabs, whichever reader took
-    each, and ``weighted`` says whether any line gave a weight.
+    each, and ``weighted`` says whether any line gave a weight. ``text`` is
+    a str or its UTF-8 bytes.
     """
     count, body = _header(_slabs(text))
     tables, weighted = [np.empty((0, 3), np.int64)], False

@@ -7,8 +7,11 @@ space-separated decimals. Text is read and written in slabs of about
 storage the matrix constructor allocates from the header, one slab of rows
 at a time, and ``save`` writes the text one slab of rows at a time. Either
 costs the matrix's own storage plus one slab, besides the text being read.
-A header whose rows the text is too short to hold is refused before any
-storage is allocated.
+The reader takes a str or its UTF-8 bytes, and decodes bytes one slab at a
+time, so ``load``, which hands it a file's bytes once they are checked to
+be UTF-8, holds the file's bytes and one decoded slab, never the whole text
+decoded. A header whose rows the text is too short to hold is refused
+before any storage is allocated.
 
 Binary: a 16-byte header (magic ``SRMAT1``, a type byte, a width byte,
 row and column counts as little-endian uint32) followed by the row-major
@@ -118,15 +121,19 @@ def _decimal_rows(entries):
 
 
 def _slabs(text):
-    """The lines of ``text``, as ``text.splitlines()`` gives them, in lists
-    of about _SLAB_CHARS characters, each with the number of its first line:
-    each list's text ends at the first newline that many characters past its
-    start, so a cut never splits a line or the two characters of "\\r\\n"."""
+    """The lines of ``text``, a str or its UTF-8 bytes, as the str's
+    ``splitlines()`` gives them, in lists of about _SLAB_CHARS characters
+    (bytes, for bytes), each with the number of its first line: each list's
+    text ends at the first newline that many characters past its start, so a
+    cut never splits a line, a character's UTF-8 bytes or the two characters
+    of "\\r\\n". Bytes are decoded one slab at a time."""
+    newline = b"\n" if isinstance(text, bytes) else "\n"
     start, lineno = 0, 1
     while start < len(text):
-        stop = text.find("\n", start + _SLAB_CHARS)
+        stop = text.find(newline, start + _SLAB_CHARS)
         stop = len(text) if stop < 0 else stop + 1
-        lines = text[start:stop].splitlines()
+        slab = text[start:stop]
+        lines = (slab.decode() if isinstance(slab, bytes) else slab).splitlines()
         yield lineno, lines
         start, lineno = stop, lineno + len(lines)
 
@@ -220,7 +227,8 @@ def _line_count_fault(text, rows):
         return MatrixFormatError(f"expected {rows} data rows, found {lineno - 1}")
 
 
-def parse_text(text: str):
+def parse_text(text: str | bytes):
+    """The matrix of a text, given as a str or as its UTF-8 bytes."""
     slabs = _slabs(text)
     _, lines = next(slabs, (1, []))
     if not lines or not lines[0].split():
@@ -249,7 +257,9 @@ def parse_text(text: str):
     m = storage = late = None
     if len(text) - len(header) < rows * (row_chars + 1):
         # Too short to hold the rows and their line breaks: refused before any
-        # storage is allocated, by the line count or else by a short row.
+        # storage is allocated, by the line count or else by a short row. Of
+        # bytes, the length bounds the characters from above, so a text beyond
+        # ASCII may pass here and meet the same fault once parsed.
         fault = _line_count_fault(text, rows)
         if fault is not None:
             raise fault
@@ -351,14 +361,22 @@ def save(m, path, binary: bool = False) -> None:
             out.write(format_text(m, start, start + step))
 
 
+def _check_utf8(data: bytes) -> None:
+    """Raise UnicodeDecodeError unless ``data`` is UTF-8 text, keeping no
+    decoded copy: ASCII is UTF-8, and only other bytes are decoded."""
+    if not data.isascii():
+        data.decode("utf-8")
+
+
 def load(path):
-    """Read a matrix file, sniffing binary vs text by the magic bytes."""
+    """Read a matrix file, sniffing binary vs text by the magic bytes. A
+    text is checked to be UTF-8 and parsed from the file's bytes, which
+    the parser decodes one slab at a time."""
     data = Path(path).read_bytes()
     if data.startswith(MAGIC):
         return from_binary(data)
     try:
-        text = data.decode("utf-8")
+        _check_utf8(data)
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: neither a binary matrix nor utf-8 text") from exc
-    del data  # only the text is kept while it is parsed
-    return parse_text(text)
+    return parse_text(data)
