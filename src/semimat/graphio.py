@@ -4,15 +4,17 @@ The format is one header line ``p <vertex_count>`` followed by one edge per
 line, ``u v`` or ``u v w``. ``#`` starts a comment, blank lines are ignored,
 and edges without a weight get weight 1.
 
-Every body becomes one (m, 3) int64 table. The body is read one
-``matio._slabs`` slab of about 64 KiB of whole lines at a time, as text
-matrices are: each slab by one ``np.loadtxt`` call, with its ranges checked
-by whole-column reductions. The line loop reads a slab only when that fails
-or finds a fault, to name the line, or for the rare slab it cannot take: 2-
-and 3-field lines mixed, non-ASCII text outside comments (such as a
-non-ASCII digit), ``1_0`` or a run of 19 digits. Both readers end in the
-same table, so a parsed graph has one edge type. A field beyond int64 is
-refused, naming its line.
+Every body becomes one (m, 3) int64 table. The text, a str or its UTF-8
+bytes, is read one ``matio._slabs`` slab of about 64 KiB of whole lines at a
+time, as text matrices are, bytes decoded a slab at a time: each slab by one
+``np.loadtxt`` call, with its ranges checked by whole-column reductions. The
+line loop reads a slab only when that fails or finds a fault, to name the
+line, or for the rare slab it cannot take: 2- and 3-field lines mixed,
+non-ASCII text outside comments (such as a non-ASCII digit), ``1_0`` or a
+run of 19 digits. Both readers write their rows into one table of ones,
+sized from the text's newlines, so a parsed graph has one edge type and a
+line without a weight keeps weight 1. A field beyond int64 is refused,
+naming its line.
 """
 
 import itertools
@@ -83,12 +85,16 @@ def parse_edge_list(text: str | bytes) -> GraphSpec:
     integers that fit int64; whether a weight fits a lane width is checked
     when the matrix is built. Problems raise GraphParseError naming the line
     and the value. The edges are always an EdgeTable over an (m, 3) int64
-    array, joined from the tables of the body's slabs, whichever reader took
+    array, the rows of the body's slabs in one table, whichever reader took
     each, and ``weighted`` says whether any line gave a weight. ``text`` is
     a str or its UTF-8 bytes.
     """
     count, body = _header(_slabs(text))
-    tables, weighted = [np.empty((0, 3), np.int64)], False
+    # a row per "\n" holds every edge unless lines end in "\r" alone (or
+    # another break str.splitlines takes), when the table grows; a weight
+    # column of ones is the weight of 2-field lines
+    edges = np.ones((text.count(b"\n" if isinstance(text, bytes) else "\n") + 1, 3), np.int64)
+    m, weighted = 0, False
     for lineno, lines in body:
         if lines:
             # numpy 1.x loadtxt reads a field beyond int64 through a float and
@@ -99,9 +105,13 @@ def parse_edge_list(text: str | bytes) -> GraphSpec:
             table = None if long else _read_integers(lines, comments="#")
             if table is None or table.shape[1] not in (2, 3) or table.min() < 0 or int(table[:, :2].max()) >= count:
                 table = _parse_lines(lines, count, lineno)
+            if m + len(table) > len(edges):
+                edges = np.concatenate((edges[:m], np.ones((m + len(table), 3), np.int64)))
+            edges[m : m + len(table), : table.shape[1]] = table
+            m += len(table)
             weighted |= table.shape[1] == 3
-            tables.append(table if table.shape[1] == 3 else np.column_stack((table, np.ones(len(table), np.int64))))
-    return GraphSpec(count, EdgeTable(np.concatenate(tables)), weighted)
+    # a body of mostly comments or blank lines keeps only its edges' rows
+    return GraphSpec(count, EdgeTable(edges[:m] if 2 * m > len(edges) else edges[:m].copy()), weighted)
 
 
 # Each ASCII digit as "0": a run of 19 digits becomes 19 zeros.
