@@ -167,7 +167,9 @@ class AntidistMatrix(_LaneMatrix):
         m = cls(dim, dim, width)
         ends, weights = _edge_table(dim, edges)
         lanes = kernels.as_lanes(weights, width, "weight")
-        np.maximum.at(m._store.reshape(-1), ends[:, 0] * dim + ends[:, 1], m.limit - lanes)
+        flat = ends[:, 0] * dim
+        flat += ends[:, 1]  # in place: one index array per edge, not two
+        np.maximum.at(m._store.reshape(-1), flat, m.limit - lanes)
         return m
 
     @classmethod
