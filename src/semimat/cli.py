@@ -4,6 +4,8 @@ and a scalar-versus-vector benchmark.
 
 import argparse
 import functools
+import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -54,6 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--width", type=int, choices=SAT_WIDTHS, default=8)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", metavar="PATH", default=None,
+                   help=f"time {_BENCH_REPEATS} vector runs and write a JSON record of the runs "
+                        "and the environment to PATH")
 
     return parser
 
@@ -199,30 +204,69 @@ def _bench_run(op, size, width, seed):
     return result, BenchReport(op, size, width, variant, elapsed, lane_updates / elapsed)
 
 
+# Vector runs timed for a --json record, which keeps their median and minimum.
+_BENCH_REPEATS = 3
+
+
 def cmd_bench(args) -> int:
+    # imported here: at module level they would add milliseconds to the
+    # start-up of every command
+    import json
+    import statistics
+
     if args.size < 1:
         raise ValueError(f"size must be positive, got {args.size}")
-    paths = [kernels.forced_scalar]
+    paths = [(kernels.forced_scalar, 1)]
     if kernels.use_vector():
-        paths.append(kernels.forced_vector)
+        paths.append((kernels.forced_vector, _BENCH_REPEATS if args.json else 1))
     else:  # pinned to scalar: nothing to compare against
         print("bench note: vector path unavailable, reporting scalar only")
     runs = []
-    for pin in paths:
+    for pin, repeats in paths:
         with pin():
-            runs.append(_bench_run(args.op, args.size, args.width, args.seed))
+            runs += [_bench_run(args.op, args.size, args.width, args.seed) for _ in range(repeats)]
     results, reports = zip(*runs)
     if any(result != results[0] for result in results):
         raise ValueError("scalar and vector results differ, refusing to report timings")
     for report in reports:
         print(report.line())
-    if len(reports) > 1:
-        speedup = reports[0].seconds / reports[1].seconds
+    scalar, *vector = (report.seconds for report in reports)
+    if vector:
         print(
             f"bench op={args.op} size={args.size} width={args.width} "
-            f"speedup={speedup:.2f} equality=ok"
+            f"speedup={scalar / statistics.median(vector):.2f} equality=ok"
         )
+    if args.json:
+        record = {
+            "op": args.op, "size": args.size, "width": args.width, "seed": args.seed,
+            "lane_updates": args.size ** 3,
+            "scalar_s": scalar,
+            "vector_s": {"median": statistics.median(vector), "min": min(vector), "runs": vector} if vector else None,
+            "equality": "ok" if vector else "not compared",
+            "environment": _environment(),
+        }
+        Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
     return 0
+
+
+def _environment() -> dict:
+    """What a bench record's numbers depend on besides the code."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu": _cpu_model(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "path": "vector" if kernels.use_vector() else "scalar",
+    }
+
+
+def _cpu_model() -> str:
+    """The CPU's model name from /proc/cpuinfo, where there is one."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            return next(line.split(":", 1)[1].strip() for line in info if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor() or platform.machine()
 
 
 _COMMANDS = {

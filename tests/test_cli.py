@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -304,6 +305,37 @@ def test_bench_closure_is_planned_over_several_components(capsys, monkeypatch):
     [component] = calls["_components"]
     assert component.max() > 0
     assert len(calls["_permute"]) == 2
+
+
+def test_bench_json_records_runs_and_environment(tmp_path, capsys, monkeypatch):
+    """--json writes the median and minimum of three vector runs, the
+    scalar run, the equality verdict and the environment. With tiles of 8
+    rows the 40-vertex closure is planned, and each vector run's component
+    search finds more than one component."""
+    monkeypatch.setattr(antidist, "_TILE_BYTES", 8 * 40)
+    found = []
+    real = antidist._components
+    monkeypatch.setattr(antidist, "_components", lambda *args: found.append(real(*args)) or found[-1])
+    path = tmp_path / "bench.json"
+    code, out, _ = run(capsys, "bench", "--op", "closure", "--size", "40", "--width", "8", "--json", str(path))
+    assert code == 0
+    assert out.count("variant=vector") == 3 and "equality=ok" in out.splitlines()[-1]
+    assert len(found) == 3 and all(component.max() > 0 for component in found)
+    record = json.loads(path.read_text())
+    assert {key: record[key] for key in ("op", "size", "width", "seed", "lane_updates")} == {
+        "op": "closure", "size": 40, "width": 8, "seed": 0, "lane_updates": 40**3}
+    runs = record["vector_s"]["runs"]
+    assert len(runs) == 3 and record["vector_s"]["median"] == sorted(runs)[1] and record["vector_s"]["min"] == min(runs)
+    assert record["scalar_s"] > 0 and record["equality"] == "ok"
+    env = record["environment"]
+    assert set(env) == {"python", "numpy", "cpu", "nproc", "path"}
+    assert env["numpy"] == np.__version__ and env["path"] == "vector" and env["nproc"] >= 1 and env["cpu"]
+
+    monkeypatch.setenv("SEMIMAT_FORCE_SCALAR", "1")
+    assert run(capsys, "bench", "--op", "mul", "--size", "8", "--json", str(path))[0] == 0
+    record = json.loads(path.read_text())
+    assert record["vector_s"] is None and record["equality"] == "not compared"
+    assert record["environment"]["path"] == "scalar"
 
 
 def test_bench_rejects_zero_size(capsys):
