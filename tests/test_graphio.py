@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -356,9 +357,12 @@ def _parse_by_lines(text):
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge lists with comments (some non-ASCII), blank lines, CRLF and
-    tabs, bodies of 2, 3 or mixed field counts, and now and then a field the
-    line loop alone reads (1_0, a non-ASCII digit) or refuses."""
+    """Edge lists with comments (some non-ASCII), blank lines, CRLF, tabs
+    and runs of blanks between fields, bodies of 2, 3 or mixed field counts,
+    and now and then a field the line loop alone reads (1_0, a non-ASCII
+    digit, a sign, leading zeros) or refuses, or a line break other than the
+    text's newline (a lone "\\r", "\\x0b", "\\x0c", "\\x1c", U+2028 or
+    U+0085), in a comment or between edges."""
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1).map(str)
     weight = st.integers(0, 30).map(str)
@@ -377,7 +381,11 @@ def edge_list_texts(draw):
         fields = [draw(vertex), draw(vertex), draw(weight), draw(weight)][:k]
         line = draw(st.sampled_from([" ", "\t", "  "])).join(fields)
         lines.append(line + draw(st.sampled_from(["", " ", "\t# x", " #y", " # \u2014"])))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = st.just(newline)
+    if draw(st.integers(0, 3)) == 0:
+        ends = ends | st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\u2028", "\x85"])
+    return lines[0] + "".join(draw(ends) + line for line in lines[1:]) + draw(st.sampled_from(["", newline]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -394,3 +402,44 @@ def test_array_parser_agrees_with_the_line_loop(text):
 @over_slabs
 def test_bytes_parse_as_their_text_when_drawn(text):
     assert _outcome(parse_edge_list, text.encode()) == _outcome(parse_edge_list, text)
+
+
+def traced_peak(work):
+    """The tracemalloc peak, in bytes, of ``work()``."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sparse_graph(n=2048, m=30_000):
+    """A random graph's edge-list text, 3 fields a line, and its edges."""
+    rng = np.random.default_rng(m)
+    edges = rng.integers(0, n, (m, 3))
+    return f"p {n}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges.tolist()), edges
+
+
+@pytest.mark.parametrize("kind", [bytes, str])
+def test_parse_costs_the_table_plus_half_a_mib(kind):
+    """Parsing a 30,000-edge body of 3-field lines (a 0.72 MB edge table)
+    peaks under the table plus 0.5 MiB, given the text's bytes or its str:
+    a slab of the body is read from its bytes, with no line list."""
+    text, edges = _sparse_graph()
+    text = text.encode() if kind is bytes else text
+    specs = []
+    peak = traced_peak(lambda: specs.append(parse_edge_list(text)))
+    assert (specs[0].edges.array == edges).all()
+    assert peak < edges.size * 8 + (1 << 19)
+
+
+def test_bool_adjacency_costs_its_matrix_plus_a_quarter_mib():
+    """The Boolean adjacency of 30,000 edges peaks under its n=2048 matrix
+    (0.5 MiB) plus 0.25 MiB, and sets every edge's bit."""
+    text, edges = _sparse_graph()
+    spec = parse_edge_list(text)
+    got = []
+    peak = traced_peak(lambda: got.append(graphio.bool_adjacency(spec)))
+    assert peak < 2048 * 2048 // 8 + (1 << 18)
+    assert got[0] == AntidistMatrix.from_edges(2048, edges * [1, 1, 0], 8).to_boolmat()

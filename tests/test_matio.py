@@ -454,6 +454,27 @@ def test_load_costs_the_file_plus_the_storage(kind, tmp_path):
     assert loaded == [m]
 
 
+@pytest.mark.parametrize(
+    "cls, width, n",
+    [(AntidistMatrix, 8, 2048), (DistMatrix, 16, 1024), (BoolMatrix, None, 4096)],
+    ids=("antidist w8", "dist w16", "bool"),
+)
+def test_binary_load_costs_the_storage_plus_a_mib(cls, width, n, tmp_path):
+    """Loading a binary file of 2 to 4 MiB of storage peaks under the
+    storage plus 1 MiB: the payload is read into the storage the matrix
+    constructor allocates, with no copy of the file's bytes beside it."""
+    rng = np.random.default_rng(n)
+    if cls is BoolMatrix:
+        m = BoolMatrix.from_lists(rng.integers(0, 2, (n, n), dtype=np.uint8))
+    else:
+        m = cls.from_lists(rng.integers(0, 1 << width, (n, n)), width)
+    path = tmp_path / "m.mat"
+    matio.save(m, path, binary=True)
+    loaded = []
+    assert traced_peak(lambda: loaded.append(matio.load(path))) < m._store.nbytes + (1 << 20)
+    assert loaded == [m]
+
+
 def cut_texts():
     """Texts whose lines end in "\\r\\n", with blank lines inside and below
     the rows, each good or with one fault."""
