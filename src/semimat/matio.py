@@ -120,22 +120,33 @@ def _decimal_rows(entries):
     return chars[keep]
 
 
-def _slabs(text):
-    """The lines of ``text``, a str or its UTF-8 bytes, as the str's
-    ``splitlines()`` gives them, in lists of about _SLAB_CHARS characters
-    (bytes, for bytes), each with the number of its first line: each list's
-    text ends at the first newline that many characters past its start, so a
-    cut never splits a line, a character's UTF-8 bytes or the two characters
-    of "\\r\\n". Bytes are decoded one slab at a time."""
+def _cuts(text, start=0):
+    """The text of ``text``, a str or its UTF-8 bytes, from ``start`` on, in
+    slabs of about _SLAB_CHARS characters (bytes, for bytes): each slab ends
+    at the first newline that many characters past its start, so a cut never
+    splits a line, a character's UTF-8 bytes or the two characters of
+    "\\r\\n"."""
     newline = b"\n" if isinstance(text, bytes) else "\n"
-    start, lineno = 0, 1
     while start < len(text):
         stop = text.find(newline, start + _SLAB_CHARS)
         stop = len(text) if stop < 0 else stop + 1
-        slab = text[start:stop]
+        yield text[start:stop]
+        start = stop
+
+
+def _slabs(text):
+    """The lines of ``text``, a str or its UTF-8 bytes, as the str's
+    ``splitlines()`` gives them, one list for each of its ``_cuts``, each
+    with the number of its first line. Bytes are decoded one slab at a
+    time, and a list is let go before the next slab is cut, so a caller
+    that drops its own reference holds one slab's lines at a time."""
+    lineno = 1
+    for slab in _cuts(text):
         lines = (slab.decode() if isinstance(slab, bytes) else slab).splitlines()
+        del slab
         yield lineno, lines
-        start, lineno = stop, lineno + len(lines)
+        lineno += len(lines)
+        del lines
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -147,36 +158,31 @@ _SPACES = bytes(c for c in range(128) if chr(c).isspace())
 _INTEGER_BYTES = b"0123456789+-" + _SPACES
 
 
-def _read_integers(lines, comments=None):
+def _read_integers(lines):
     """ASCII lines of whitespace-separated decimal integers as one int64
     array, a row per line that holds any; None if any line holds anything
-    else, the rows differ in length, or no line holds an integer. Text from
-    ``comments`` (a string, or None for no comments) to the end of its line
-    is ignored.
+    else, the rows differ in length, or no line holds an integer.
 
     The lines are checked before np.loadtxt runs, so no warning filter is
     touched and threads may parse at once.
     """
-    if not _integer_text(lines, comments):
+    if not _integer_text(lines):
         return None
     try:
-        return np.loadtxt(lines, dtype=np.int64, comments=comments, ndmin=2)
+        return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
 
 
-def _integer_text(lines, comments):
-    """Whether the lines, outside comments, hold at least one integer and
-    no byte but digits, signs and whitespace: numpy takes some non-ASCII
-    letters for digits, numpy 1.x reads "1.5" as 1 and only warns, and
-    loadtxt warns on input without data. The lines are joined once, so a
-    caller passes at most one slab: about 64 KiB, small enough to leave the
-    heap as loadtxt finds it."""
-    text = "\n".join(lines)
-    if comments is not None and comments in text:
-        text = re.sub(f"{re.escape(comments)}.*", "", text)
+def _integer_text(lines):
+    """Whether the lines hold at least one integer and no byte but digits,
+    signs and whitespace: numpy takes some non-ASCII letters for digits,
+    numpy 1.x reads "1.5" as 1 and only warns, and loadtxt warns on input
+    without data. The lines are joined once, so a caller passes at most one
+    slab: about 64 KiB, small enough to leave the heap as loadtxt finds
+    it."""
     try:
-        raw = text.encode("ascii")
+        raw = "\n".join(lines).encode("ascii")
     except UnicodeEncodeError:
         return False
     return not raw.translate(None, _INTEGER_BYTES) and bool(raw.strip(_SPACES))

@@ -240,9 +240,8 @@ def test_every_body_gives_one_int64_table(text, edges, weighted):
     assert spec.edges.array.dtype == np.int64 and spec.edges.array.shape == (len(edges), 3)
     assert spec.edges == edges and spec.weighted is weighted
     assert spec == _parse_by_lines(text)
-    count, body = graphio._header(iter([(1, text.splitlines())]))
-    [(lineno, lines)] = body
-    table = graphio._parse_lines(lines, count, lineno)
+    count, lineno, start = graphio._header(text)
+    table = graphio._parse_lines(text[start:].splitlines(), count, lineno)
     assert table.dtype == np.int64 and table.shape == (len(edges), 3 if weighted else 2)
 
 
@@ -258,7 +257,7 @@ def test_every_body_gives_one_int64_table(text, edges, weighted):
 def test_fields_beyond_int64_are_refused_by_line(text, lineno, value):
     # numpy 1.x loadtxt would read such a field through a float and an
     # undefined cast to int64, so the table reader must not see it
-    reader = mock.patch.object(graphio, "_read_integers", side_effect=AssertionError("table reader ran"))
+    reader = mock.patch.object(graphio, "_read_fields", side_effect=AssertionError("table reader ran"))
     with reader, pytest.raises(GraphParseError, match=f"line {lineno}: value {value} does not fit int64") as err:
         parse_edge_list(text)
     assert err.value.lineno == lineno
@@ -351,7 +350,7 @@ def _outcome(parse, text):
 def _parse_by_lines(text):
     """parse_edge_list with the table reader switched off, so that the line
     loop reads every body."""
-    with mock.patch.object(graphio, "_read_integers", lambda lines, comments=None: None):
+    with mock.patch.object(graphio, "_read_fields", lambda data, fields: None):
         return parse_edge_list(text)
 
 

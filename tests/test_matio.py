@@ -139,37 +139,36 @@ def test_parse_text_errors_name_their_line(text, message):
         (["1\u20002"], None, None),
         (["", "  "], None, None),
         ([], None, None),
-        (["0 1 # \u00e9dge", "# only a comment"], "#", [[0, 1]]),
-        (["# nothing but comments", "   # and blanks"], "#", None),
-        (["0 1", "1 \u0663 # a non-ASCII digit before the comment"], "#", None),
+        (["0 1 # a comment"], None, None),
     ],
 )
 def test_read_integers_checks_before_loadtxt(lines, comments, want):
-    """Anything but digits, signs and whitespace outside comments, and input
-    without an integer, are refused before np.loadtxt runs."""
-    got = matio._read_integers(lines, comments)
+    """Anything but digits, signs and whitespace, and input without an
+    integer, are refused before np.loadtxt runs."""
+    got = matio._read_integers(lines)
     assert (got if got is None else got.tolist()) == want
 
 
 @pytest.mark.parametrize("shape", ["blank first line", "lane rows"])
 def test_integer_check_joins_about_64_kib_at_a_time(shape):
-    """The parsers hand the integer check a slab at a time, which it joins
-    once: each join holds at most 65 KiB plus one line, whatever the first
-    line's length. A blank line above an edge list's body does not size the
-    joins, and lane rows of thousands of characters are joined a few at a
+    """The parsers hand their check a slab at a time: the integer check
+    joins a slab's lane rows once, the edge-list check reads a slab's text.
+    Each holds at most 65 KiB plus one line, whatever the first line's
+    length. A blank line above an edge list's body does not size the
+    slabs, and lane rows of thousands of characters are joined a few at a
     time."""
     rng = random.Random(shape)
     if shape == "blank first line":
         lines = ["p 2048", ""] + [f"{rng.randrange(2048)} {rng.randrange(2048)} {rng.randint(1, 9)}" for _ in range(20000)]
-        parse = graphio.parse_edge_list
+        parse, owner, check, size = graphio.parse_edge_list, graphio, "_plain", len
     else:
         lines = ["antidist 8 64 1024"] + [" ".join(str(rng.randrange(256)) for _ in range(1024)) for _ in range(64)]
-        parse = matio.parse_text
+        parse, owner, check, size = matio.parse_text, matio, "_integer_text", lambda rows: len("\n".join(rows))
     text = "\n".join(lines) + "\n"
-    with mock.patch.object(matio, "_integer_text", wraps=matio._integer_text) as check:
+    with mock.patch.object(owner, check, wraps=getattr(owner, check)) as spy:
         got = parse(text)
     assert got == parse(text)
-    joins = [len("\n".join(call.args[0])) for call in check.call_args_list]
+    joins = [size(call.args[0]) for call in spy.call_args_list]
     assert len(joins) > 1 and max(joins) <= 65 * 1024 + max(map(len, lines))
 
 
