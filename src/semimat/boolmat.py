@@ -16,6 +16,10 @@ import numpy as np
 
 BLOCK_BITS = 64
 
+# Bits that BoolMatrix._set_bits sets at a time: each of its temporaries
+# holds 8 bytes per bit of a chunk, 32 KiB.
+_SET_CHUNK = 1 << 12
+
 
 def _block_count(cols: int) -> int:
     return (cols + BLOCK_BITS - 1) // BLOCK_BITS
@@ -289,9 +293,16 @@ class BoolMatrix(_Matrix):
         return (int(self._store[i, j >> 6]) >> (j & 63)) & 1
 
     def _set_bits(self, rows, cols) -> None:
-        """Set the bits at the intp index arrays (rows, cols), repeats allowed."""
-        masks = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-        np.bitwise_or.at(self._store, (rows, cols >> 6), masks)
+        """Set the bits at the intp index arrays (rows, cols), repeats
+        allowed, _SET_CHUNK at a time: a flat word index and a mask per bit
+        of a chunk, so the temporaries stay small whatever the bit count."""
+        words = self._store.reshape(-1)
+        for start in range(0, len(rows), _SET_CHUNK):
+            part = cols[start : start + _SET_CHUNK]
+            index = rows[start : start + _SET_CHUNK] * self.block_columns
+            index += part >> 6
+            masks = np.left_shift(np.uint64(1), (part & 63).astype(np.uint64))
+            np.bitwise_or.at(words, index, masks)
 
     def set(self, i: int, j: int, value: int) -> None:
         i, j = self._check_index(i, j)
