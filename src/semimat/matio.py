@@ -24,7 +24,9 @@ import functools
 import itertools
 import os
 import re
+import stat
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,7 @@ def _line_count_fault(text, rows):
         for lineno, line in enumerate(lines, first):
             if lineno > rows + 1 and line.strip():
                 return MatrixFormatError(f"line {lineno}: the header declares {rows} rows, found more")
+        del lines  # before the next slab is cut
     if lineno - 1 < rows:
         return MatrixFormatError(f"expected {rows} data rows, found {lineno - 1}")
 
@@ -289,9 +292,11 @@ def parse_text(text: str | bytes):
             else:
                 if storage is not None:
                     storage[row : row + len(data)] = part
+                del part
             row += len(data)
         if any(line.strip() for line in lines[len(data) :]):
             raise _line_count_fault(text, rows)
+        del lines, data  # before the next slab is cut
     if row < rows:
         raise _line_count_fault(text, rows)
     if late is not None:
@@ -313,12 +318,13 @@ def to_binary(m, file=None):
         out.writelines((header, payload))
 
 
-def from_binary(data: bytes):
-    """The matrix of a binary form. Its payload is read in place, and the
-    matrix type refuses a width or a dimension it does not take."""
-    if len(data) < _HEADER.size:
-        raise MatrixFormatError(f"truncated header: {len(data)} bytes")
-    magic, tag, width, rows, cols = _HEADER.unpack_from(data)
+def _binary_matrix(header, payload):
+    """The zero matrix that a binary ``header`` declares, for a payload of
+    ``payload`` bytes, which must fill its storage exactly. The matrix type
+    refuses a width or a dimension it does not take."""
+    if len(header) < _HEADER.size:
+        raise MatrixFormatError(f"truncated header: {len(header)} bytes")
+    magic, tag, width, rows, cols = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise MatrixFormatError(f"bad magic {magic!r}")
     cls = _BY_TAG.get(tag)
@@ -327,19 +333,33 @@ def from_binary(data: bytes):
     if cls is BoolMatrix:
         if width != 0:
             raise MatrixFormatError(f"bool matrices carry width byte 0, got {width}")
-        dtype, row_length = np.dtype("<u8"), _block_count(cols)
+        shape, row_bytes = (rows, cols), _block_count(cols) * 8
     else:
-        dtype, row_length = np.dtype(_build(kernels.dtype_for, width)).newbyteorder("<"), cols
-    expected = rows * row_length * dtype.itemsize
-    if len(data) - _HEADER.size != expected:
-        raise MatrixFormatError(f"payload is {len(data) - _HEADER.size} bytes, expected {expected}")
-    entries = np.frombuffer(data, dtype, offset=_HEADER.size).reshape(rows, row_length)
-    if cls is not BoolMatrix:
-        return _build(cls.from_lists, entries, width)
-    tail = cols & 63
-    if tail and int(entries[:, -1].max(initial=0)) >> tail:
+        shape, row_bytes = (rows, cols, width), cols * np.dtype(_build(kernels.dtype_for, width)).itemsize
+    expected = rows * row_bytes
+    if payload != expected:
+        raise MatrixFormatError(f"payload is {payload} bytes, expected {expected}")
+    return _build(cls, *shape)
+
+
+def _filled(m):
+    """``m``, once its storage holds a little-endian payload, in native byte
+    order. A lane of the payload's own width is always in range; a Boolean
+    matrix's padding bits must be zero."""
+    if sys.byteorder == "big":
+        m._store.byteswap(inplace=True)
+    tail = m.cols & 63
+    if isinstance(m, BoolMatrix) and tail and int(m._store[:, -1].max(initial=0)) >> tail:
         raise MatrixFormatError("nonzero padding bits in final block")
-    return _build(BoolMatrix, rows, cols, entries.astype(np.uint64))
+    return m
+
+
+def from_binary(data: bytes):
+    """The matrix of a binary form, its payload copied once into the storage
+    the matrix type allocates."""
+    m = _binary_matrix(data[: _HEADER.size], len(data) - _HEADER.size)
+    memoryview(m._store).cast("B")[:] = memoryview(data)[_HEADER.size :]
+    return _filled(m)
 
 
 # -- files ------------------------------------------------------------------
@@ -375,9 +395,19 @@ def _check_utf8(data: bytes) -> None:
 
 
 def load(path):
-    """Read a matrix file, sniffing binary vs text by the magic bytes. A
-    text is checked to be UTF-8 and parsed from the file's bytes, which
-    the parser decodes one slab at a time."""
+    """Read a matrix file, sniffing binary vs text by the magic bytes. The
+    payload of a binary file is read into the storage the matrix type
+    allocates. A text is checked to be UTF-8 and parsed from the file's
+    bytes, which the parser decodes one slab at a time; so is the binary
+    form read from a pipe or another file that is not a regular one."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, "rb") as file:
+            header = file.read(_HEADER.size)
+            if header.startswith(MAGIC):
+                m = _binary_matrix(header, os.fstat(file.fileno()).st_size - len(header))
+                if file.readinto(memoryview(m._store).cast("B")) != m._store.nbytes:
+                    raise MatrixFormatError(f"{path}: changed while it was read")
+                return _filled(m)
     data = Path(path).read_bytes()
     if data.startswith(MAGIC):
         return from_binary(data)
