@@ -105,9 +105,9 @@ def parse_edge_list(text: str | bytes) -> GraphSpec:
     for slab in _cuts(text, start):
         plain = _plain(slab)
         table = None if plain is None else _read_fields(*plain)
+        # the vertex count may be beyond int64, so the ends are compared with
+        # it as a Python int; the line loop names the end out of range
         if table is None or int(table[:, :2].max(initial=0)) >= count:
-            # the vertex count may be beyond int64, so the ends are compared
-            # with it as a Python int
             lines = (slab.decode() if isinstance(slab, bytes) else slab).splitlines()
             table = _parse_lines(lines, count, lineno)
             lineno += len(lines)

@@ -255,9 +255,9 @@ def test_every_body_gives_one_int64_table(text, edges, weighted):
     ],
 )
 def test_fields_beyond_int64_are_refused_by_line(text, lineno, value):
-    # numpy 1.x loadtxt would read such a field through a float and an
-    # undefined cast to int64, so the table reader must not see it
-    reader = mock.patch.object(graphio, "_read_fields", side_effect=AssertionError("table reader ran"))
+    # np.fromstring reads such a field as int64's maximum without a word,
+    # so the bytes reader must not see it
+    reader = mock.patch.object(graphio, "_read_fields", side_effect=AssertionError("bytes reader ran"))
     with reader, pytest.raises(GraphParseError, match=f"line {lineno}: value {value} does not fit int64") as err:
         parse_edge_list(text)
     assert err.value.lineno == lineno
@@ -348,7 +348,7 @@ def _outcome(parse, text):
 
 
 def _parse_by_lines(text):
-    """parse_edge_list with the table reader switched off, so that the line
+    """parse_edge_list with the bytes reader switched off, so that the line
     loop reads every body."""
     with mock.patch.object(graphio, "_read_fields", lambda data, fields: None):
         return parse_edge_list(text)
